@@ -144,13 +144,13 @@ done
 cargo test -q --offline -p gbc-bench --test analysis_equivalence
 
 echo "== ci-par: parallel saturation equivalence =="
-# The determinism contract (DESIGN.md §9, §14): every thread count and
-# both settings of the batched γ feed kernel produce byte-identical
-# relations and semantic counters. The in-process sweep covers threads
-# {1,2,4,8} × batch on/off; the CLI pass re-runs every shipped program
+# The determinism contract (DESIGN.md §9): every thread count produces
+# byte-identical relations and semantic counters. The in-process sweep
+# covers threads {1,2,4,8}; the CLI pass re-runs every shipped program
 # profiled at 4 workers, which must succeed and keep its attribution
-# line just like the serial profile above, and the batch-off sweep
-# re-runs each program under GBC_NO_GAMMA_BATCH=1 asserting the derived
+# line just like the serial profile above, and the analysis-off sweep
+# re-runs each program under GBC_NO_ANALYZE=1 — the frame-based feed
+# oracle instead of the columnar batch kernel — asserting the derived
 # facts match the default run byte for byte.
 cargo test -q --offline -p gbc-bench --test parallel_equivalence
 for entry in "${obs_groups[@]}"; do
@@ -170,12 +170,12 @@ for entry in "${obs_groups[@]}"; do
         exit 1
     }
     # shellcheck disable=SC2086
-    GBC_NO_GAMMA_BATCH=1 ./target/release/gbc run $files >"$diag_json" || {
-        echo "gbc run with GBC_NO_GAMMA_BATCH=1 failed for: $files" >&2
+    GBC_NO_ANALYZE=1 ./target/release/gbc run $files >"$diag_json" || {
+        echo "gbc run with GBC_NO_ANALYZE=1 failed for: $files" >&2
         exit 1
     }
     diff "$stats_json" "$diag_json" || {
-        echo "batch-off run diverged from the default for: $files" >&2
+        echo "analysis-off run diverged from the default for: $files" >&2
         exit 1
     }
 done
@@ -207,13 +207,13 @@ grep -q '"label": "post-PR8"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR8 run" >&2
     exit 1
 }
-# And the post-PR10 record (batched γ feed + clique scheduling), which
-# introduced the heap_batch_pushes / feed_cliques columns.
+# And the post-PR10 record (batched γ feed), which introduced the
+# heap_batch_pushes column.
 grep -q '"label": "post-PR10"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR10 run" >&2
     exit 1
 }
-for col in dict_entries encode_hits decode_calls heap_batch_pushes feed_cliques; do
+for col in dict_entries encode_hits decode_calls heap_batch_pushes; do
     grep -q "\"$col\"" BENCH_experiments.json || {
         echo "BENCH_experiments.json rows lack column: $col" >&2
         exit 1
@@ -243,6 +243,14 @@ http_get() { # PATH -> full response on stdout
     cat <&9
     exec 9<&- 9>&-
 }
+json_text() { # FILE... -> the files' concatenated text as a JSON string
+    local s
+    s="$(cat "$@")"
+    s="${s//\\/\\\\}"
+    s="${s//\"/\\\"}"
+    s="${s//$'\t'/\\t}"
+    printf '"%s"' "${s//$'\n'/\\n}"
+}
 http_post() { # PATH BODY -> full response on stdout
     local len
     len=$(printf '%s' "$2" | wc -c)
@@ -255,7 +263,7 @@ http_post() { # PATH BODY -> full response on stdout
 
 http_get /healthz | grep -q '"status":"ok"' || {
     echo "/healthz is not ok" >&2; exit 1; }
-http_post /load '{"name": "prim", "files": ["programs/prim.dl", "programs/graph_small.dl"]}' \
+http_post /load "{\"name\": \"prim\", \"program\": $(json_text programs/prim.dl programs/graph_small.dl)}" \
     | grep -q '"greedy_plan": true' || {
     echo "POST /load failed for prim" >&2; exit 1; }
 http_post /run '{"session": "prim", "threads": 2, "journal": true}' \

@@ -40,8 +40,8 @@
 //!   merge bucket;
 //! * `--threads N` fans flat-rule saturation out over an in-tree worker
 //!   pool (γ-steps and choice commits stay sequential); output is
-//!   byte-identical at any thread count. Defaults to `GBC_THREADS` or
-//!   the machine's available parallelism;
+//!   byte-identical at any thread count. Defaults to the machine's
+//!   available parallelism;
 //! * `--stats-json PATH` writes the full telemetry report (counters,
 //!   per-round delta history, phase timings, per-rule profile, and —
 //!   with `--trace` — the structured event journal) as JSON to `PATH`;
@@ -95,8 +95,8 @@ struct Options {
     /// analysis report as JSON instead of the text rendering.
     analysis_json: Option<String>,
     /// Worker threads for flat-rule saturation (`gbc run --threads N`).
-    /// `None` falls back to `GBC_THREADS`, then to
-    /// `available_parallelism()` — see [`gbc_engine::pool::default_threads`].
+    /// `None` falls back to `available_parallelism()` — see
+    /// [`gbc_engine::pool::default_threads`].
     threads: Option<usize>,
     /// The atom after `--` (for `gbc explain`).
     query: Option<String>,
@@ -193,8 +193,7 @@ struct Observers {
 
 impl Options {
     /// Worker-thread count for flat-rule saturation: the `--threads`
-    /// flag when given, else `GBC_THREADS`, else
-    /// `available_parallelism()`. Any count produces byte-identical
+    /// flag when given, else `available_parallelism()`. Any count produces byte-identical
     /// output (DESIGN.md §9); the count only changes how saturation
     /// rounds are scheduled.
     fn resolve_threads(&self) -> usize {

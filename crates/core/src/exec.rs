@@ -31,20 +31,19 @@
 //! paper's sorting analysis describes).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use gbc_ast::{CmpOp, Literal, Program, Rule, Symbol, Term, Value, VarId};
 use gbc_engine::bindings::Bindings;
 use gbc_engine::eval::{
     eval_expr, eval_term, instantiate_head, match_term, match_term_id, parent_rows,
 };
-use gbc_engine::extrema::{
-    collect_matches_plan, collect_matches_plan_pooled, filter_extrema, filter_extrema_sharded,
-};
+use gbc_engine::extrema::{collect_matches_plan, filter_extrema};
 use gbc_engine::plan::{columnar_feed_spec, FeedCheck, PlanCache, RuleStatics};
-use gbc_engine::pool::{FanoutObs, PoolReport, PoolStats, WorkerPool};
+use gbc_engine::pool::{PoolReport, PoolStats};
 use gbc_engine::seminaive::Seminaive;
 use gbc_storage::dictionary::{self, decode_ref};
-use gbc_storage::{Database, FxHashMap, FxHashSet, Row, Rql, DICT_MISS, NO_GOAL};
+use gbc_storage::{Database, FxHashMap, FxHashSet, Row, RowsView, Rql, DICT_MISS, NO_GOAL};
 use gbc_telemetry::{DiscardReason, Snapshot, Telemetry, TraceEvent};
 
 use crate::analysis::stage::StageInfo;
@@ -59,25 +58,17 @@ pub struct GreedyConfig {
     pub max_steps: u64,
     /// Worker threads for flat-rule saturation. `1` (the default) runs
     /// the exact serial engine; higher counts fan saturation rounds out
-    /// over `gbc_engine::pool` with byte-identical results — γ-steps,
-    /// choice commits and `(R,Q,L)` heap maintenance stay sequential
-    /// regardless (see DESIGN.md §9).
+    /// over `gbc_engine::pool` with byte-identical results. The γ loop
+    /// — feed, choose, commit and exit rules — is serial regardless
+    /// (see DESIGN.md §9).
     pub threads: usize,
     /// Run whole-program type/reachability analysis at setup and apply
     /// its specializations: dead-rule pruning, folded constants, the
-    /// decode-free `Int` cost heap, and the bindings-free feed fast
-    /// path. On by default; `GBC_NO_ANALYZE=1` in the environment (or
+    /// decode-free `Int` cost heap, and the columnar feed batch
+    /// kernel. On by default; `GBC_NO_ANALYZE=1` in the environment (or
     /// setting this to `false`) reverts to the unanalyzed engine —
     /// results and counters are byte-identical either way.
     pub analyze: bool,
-    /// Feed new `Q_r` rows through the fused feed→heap batch kernel
-    /// ([`gbc_storage::Rql::extend_batch`]) and allow FD-independent
-    /// stage cliques to collect their feeds concurrently. On by
-    /// default; `GBC_NO_GAMMA_BATCH=1` in the environment (or setting
-    /// this to `false`) reverts to per-row inserts on the coordinator.
-    /// Results and counters are byte-identical either way — only the
-    /// which-path counter `heap_batch_pushes` moves.
-    pub gamma_batch: bool,
 }
 
 impl Default for GreedyConfig {
@@ -86,7 +77,6 @@ impl Default for GreedyConfig {
             max_steps: 100_000_000,
             threads: 1,
             analyze: std::env::var_os("GBC_NO_ANALYZE").is_none(),
-            gamma_batch: std::env::var_os("GBC_NO_GAMMA_BATCH").is_none(),
         }
     }
 }
@@ -122,11 +112,6 @@ pub struct GreedyStats {
     pub flat_new_facts: u64,
     /// Largest `Q_r` size observed.
     pub queue_peak: usize,
-    /// FD-independent stage cliques the feed scheduler identified —
-    /// the fan-out width of the parallel γ feed phase (1 for every
-    /// single-program session: its predicates are one connected
-    /// component).
-    pub feed_cliques: usize,
 }
 
 /// The result of a run.
@@ -140,9 +125,9 @@ pub struct GreedyRun {
     pub stats: GreedyStats,
     /// The full telemetry counter snapshot of the run.
     pub snapshot: Snapshot,
-    /// Worker-pool occupancy report (busy/idle/steal lanes, chunk-size
-    /// histogram, merge time). `None` for serial runs — the pool never
-    /// spins up, so there is nothing to report.
+    /// Flat-saturation worker-pool occupancy report (busy/idle/steal
+    /// lanes, chunk-size histogram, merge time). `None` for serial runs
+    /// — the pool never spins up, so there is nothing to report.
     pub pool: Option<PoolReport>,
 }
 
@@ -178,8 +163,9 @@ pub struct NextPlan {
     /// argument is a bare variable, a repeat of one, or ground, and
     /// every pre-check compares source columns and constants — so each
     /// row's admission reduces to the columnar [`FeedCheck`] sequence
-    /// below, and the cost/key columns are read straight off the
-    /// arena. Applied only when analysis is on
+    /// below, the cost/key columns are read straight off the arena, and
+    /// the phase's candidates enter `Q_r` through one
+    /// [`Rql::extend_batch`] call. Applied only when analysis is on
     /// ([`GreedyConfig::analyze`]); surfaced to users as the GBC032
     /// note.
     fast_feed: bool,
@@ -455,29 +441,32 @@ struct NextState {
     w_used: FxHashSet<Vec<u32>>,
 }
 
-/// The read-only harvest of one fast-feed rule's feed phase:
-/// everything `GreedyExecutor::feed` observes, none of what it
-/// mutates. Collected on a clique worker (or inline on the
-/// coordinator) and applied in rule order.
+/// The read-only harvest of one next rule's feed phase: everything
+/// [`NextState::apply_feed`] needs, gathered before anything mutates.
 struct FeedBatch {
     /// New head-relation high-water mark.
     head_len: usize,
-    /// New source-relation high-water mark.
-    src_len: usize,
     /// Max stage among the new head rows (`i64::MIN` when none).
     stage_max: i64,
     /// W-projections of the new head rows.
     new_w: Vec<Vec<u32>>,
-    /// `(congruence key, cost id, row)` triples for `Rql::extend_batch`.
+    /// New source-relation high-water mark.
+    src_len: usize,
+    /// `(congruence key, cost id, row)` candidates for `Q_r`, in source
+    /// row order.
     triples: Vec<(Vec<u32>, u32, Vec<u32>)>,
 }
 
-/// Collect next rule `ns`'s feed batch without mutating anything: scan
-/// the new head rows for the stage high-water mark and W-projections,
-/// then admit new source rows through the compiled columnar checks.
-/// Pure arena reads — callable from a pool worker under the no-intern
-/// guard.
-fn collect_feed(ns: &NextState, db: &Database, nil_cost: u32) -> Result<FeedBatch, CoreError> {
+/// Start next rule `ns`'s feed batch with the new head rows — the stage
+/// high-water mark (exit rules seed it) and every head tuple's W
+/// projection — and return it with the new source rows to admit. The
+/// stage variable "associates each tuple with a unique value of the
+/// index I, and vice versa" (Section 3) — the W → I direction must also
+/// cover facts produced by exit rules, or a chain program can re-commit
+/// an exit tuple at a fresh stage forever. The source rows are read in
+/// place from the relation's column arenas; the only copy made is the
+/// id row that enters `Q_r`.
+fn scan_head<'a>(ns: &NextState, db: &'a Database) -> Result<(FeedBatch, RowsView<'a>), CoreError> {
     let plan = &ns.plan;
     let head_rel = db.relation(plan.head_pred);
     let head_rows = head_rel.since(ns.head_mark);
@@ -497,9 +486,26 @@ fn collect_feed(ns: &NextState, db: &Database, nil_cost: u32) -> Result<FeedBatc
         );
     }
     let src_rel = db.relation(plan.source_pred);
-    let rows = src_rel.since(ns.src_mark);
+    let batch = FeedBatch {
+        head_len: head_rel.len(),
+        stage_max,
+        new_w,
+        src_len: src_rel.len(),
+        triples: Vec::new(),
+    };
+    Ok((batch, src_rel.since(ns.src_mark)))
+}
+
+/// Collect a fast-feed rule's batch: new source rows are admitted by
+/// the compiled columnar checks, and the cost id and congruence key are
+/// read straight off the arena. Byte-identical to
+/// [`collect_feed_frames`] — `match_term_id` would bind each variable
+/// to exactly the cell id read here, and [`FeedCheck`] reproduces the
+/// pre-check comparisons in id space.
+fn collect_feed(ns: &NextState, db: &Database, nil_cost: u32) -> Result<FeedBatch, CoreError> {
+    let (mut batch, rows) = scan_head(ns, db)?;
+    let plan = &ns.plan;
     let Literal::Pos(source) = &plan.rule.body[plan.source_lit] else { unreachable!() };
-    let mut triples: Vec<(Vec<u32>, u32, Vec<u32>)> = Vec::new();
     if rows.arity() == source.args.len() {
         let cost_col = plan.cost.map(|(_, col)| col);
         for r in 0..rows.len() {
@@ -511,10 +517,80 @@ fn collect_feed(ns: &NextState, db: &Database, nil_cost: u32) -> Result<FeedBatc
                 None => nil_cost,
             };
             let key: Vec<u32> = plan.cong_cols.iter().map(|&c| rows.cell(r, c)).collect();
-            triples.push((key, cost, rows.id_row(r)));
+            batch.triples.push((key, cost, rows.id_row(r)));
         }
     }
-    Ok(FeedBatch { head_len: head_rel.len(), src_len: src_rel.len(), stage_max, new_w, triples })
+    Ok(batch)
+}
+
+/// Collect any rule's batch through per-row binding frames: match the
+/// source atom, run the pre-checks, read the cost off the frame. The
+/// generic path for rules the columnar checks cannot express, and the
+/// oracle every rule takes when analysis is off.
+fn collect_feed_frames(
+    ns: &NextState,
+    db: &Database,
+    nil_cost: u32,
+) -> Result<FeedBatch, CoreError> {
+    let (mut batch, rows) = scan_head(ns, db)?;
+    let plan = &ns.plan;
+    let Literal::Pos(source) = &plan.rule.body[plan.source_lit] else { unreachable!() };
+    let mut b = Bindings::new(plan.rule.num_vars());
+    let mut trail: Vec<VarId> = Vec::new();
+    for r in 0..rows.len() {
+        for v in trail.drain(..) {
+            b.unbind(v);
+        }
+        let matched = rows.arity() == source.args.len()
+            && source
+                .args
+                .iter()
+                .enumerate()
+                .all(|(c, t)| match_term_id(t, rows.cell(r, c), &mut b, &mut trail));
+        if !matched {
+            continue;
+        }
+        if !apply_comparisons(&plan.pre_checks, &mut b, &mut trail)? {
+            continue;
+        }
+        let cost = match plan.cost {
+            Some((cv, _)) => {
+                let id = b.id_of(cv);
+                if id != DICT_MISS {
+                    id
+                } else {
+                    let v = b.get(cv).expect("cost variable bound by source match");
+                    dictionary::encode(v)
+                }
+            }
+            None => nil_cost,
+        };
+        let key: Vec<u32> = plan.cong_cols.iter().map(|&c| rows.cell(r, c)).collect();
+        batch.triples.push((key, cost, rows.id_row(r)));
+    }
+    Ok(batch)
+}
+
+impl NextState {
+    /// Apply a collected [`FeedBatch`]: advance both marks and the
+    /// stage, register the W-projections, and push the candidates into
+    /// `Q_r` — through the fused batch kernel for columnar feeds, row by
+    /// row for the frame-based oracle, so `heap_batch_pushes` counts
+    /// exactly the columnar rows. Either way the queue ends up in the
+    /// same state.
+    fn apply_feed(&mut self, batch: FeedBatch) {
+        self.stage = self.stage.max(batch.stage_max);
+        self.head_mark = batch.head_len;
+        self.w_used.extend(batch.new_w);
+        self.src_mark = batch.src_len;
+        if self.plan.fast_feed {
+            self.rql.extend_batch(batch.triples);
+        } else {
+            for (key, cost, row) in batch.triples {
+                self.rql.insert(key, cost, row);
+            }
+        }
+    }
 }
 
 /// The executor. Create with [`GreedyExecutor::new`], then [`GreedyExecutor::run`].
@@ -537,17 +613,7 @@ pub struct GreedyExecutor {
     chosen: Vec<ChosenRecord>,
     stats: GreedyStats,
     tel: Telemetry,
-    /// Worker pool for the executor's own fan-outs (exit-rule match
-    /// collection, extrema sharding, clique-level feed collection).
-    /// Serial at `threads: 1` — every fan-out then runs inline on the
-    /// coordinator, byte for byte the sequential engine.
-    pool: WorkerPool,
-    /// FD-independent stage-clique groups: indices into `nexts`, each
-    /// group's feed collectable concurrently with the others (see
-    /// `analysis::cliques`). Always computed; one group for every
-    /// single-clique program.
-    feed_groups: Vec<Vec<usize>>,
-    /// Pool occupancy accumulator, allocated only for parallel runs.
+    /// Flat-saturation pool occupancy, allocated only for parallel runs.
     pool_stats: Option<Arc<PoolStats>>,
 }
 
@@ -636,9 +702,6 @@ impl GreedyExecutor {
             .collect();
         let exit_stale = vec![None; exits.len()];
         let exit_plans = PlanCache::new(exits.len());
-        let next_heads: Vec<Symbol> =
-            nexts.iter().map(|ns: &NextState| ns.plan.head_pred).collect();
-        let feed_groups = crate::analysis::cliques::feed_groups(program).partition(&next_heads);
         let mut flat = Seminaive::new(flat_rules);
         flat.set_rule_ids(flat_ids);
         flat.set_threads(config.threads);
@@ -655,10 +718,8 @@ impl GreedyExecutor {
             db,
             config,
             chosen: Vec::new(),
-            stats: GreedyStats { feed_cliques: feed_groups.len(), ..GreedyStats::default() },
+            stats: GreedyStats::default(),
             tel: Telemetry::default(),
-            pool: WorkerPool::new(config.threads),
-            feed_groups,
             pool_stats,
         };
         ex.attach_telemetry();
@@ -688,41 +749,39 @@ impl GreedyExecutor {
     /// Run to fixpoint.
     pub fn run(mut self) -> Result<GreedyRun, CoreError> {
         let tel = self.tel.clone();
-        // Phase and overhead accounting use *chained* timestamps: each
+        // Phase and profiler accounting use *chained* timestamps: each
         // boundary reads the clock once and every interval between two
-        // boundaries is charged somewhere (a phase, a rule, or the
-        // profiler's overhead bucket). That keeps the attribution gap —
-        // time the instrumentation itself cannot see — to the one
-        // accumulator update per boundary, which is what lets
-        // `--profile` account for nearly all of the run's wall time.
+        // boundaries is charged somewhere — to a phase and, for the
+        // profiler, to the rule that ends it or to the overhead bucket
+        // (flat saturation keeps its own chain, see `Seminaive`). That
+        // keeps the attribution gap — time the instrumentation itself
+        // cannot see — to the one accumulator update per boundary,
+        // which is what lets `--profile` account for nearly all of the
+        // run's wall time.
         let clocked = tel.phases.is_enabled() || tel.profiler.is_enabled();
         // Per-round latency, recorded only when the handle asked for it
         // (`--stats-json`). A "round" is one full trip around this loop:
         // saturation plus the γ (or exit) decision it enables.
         let rounds_on = tel.rounds.is_some();
         let mut flat_round: u64 = 0;
+        let mut t_prev = clocked.then(Instant::now);
         loop {
-            let t_round = rounds_on.then(std::time::Instant::now);
-            let mut t_prev = clocked.then(std::time::Instant::now);
+            let t_round = rounds_on.then(Instant::now);
+            let t_flat = lap(&tel, &mut t_prev);
             let new_facts = self.flat.saturate(&mut self.db)?;
-            if let Some(t0) = t_prev {
-                let t = std::time::Instant::now();
+            // Saturation charged its rules and overhead on its own chain.
+            t_prev = t_prev.map(|_| Instant::now());
+            if let (Some(t0), Some(t)) = (t_flat, t_prev) {
                 tel.phases.add("run/flat", t - t0);
-                t_prev = Some(t);
             }
             self.stats.flat_new_facts += new_facts;
             flat_round += 1;
             tel.trace_with(|| TraceEvent::FlatRound { round: flat_round, new_facts });
-            if let Some(t0) = t_prev {
-                let t = std::time::Instant::now();
-                tel.profiler.add_overhead(t - t0);
-                t_prev = Some(t);
-            }
-            let exited = self.fire_exit_rule()?;
-            if let Some(t0) = t_prev {
-                let t = std::time::Instant::now();
+            let t_exit = lap(&tel, &mut t_prev);
+            let exited = self.fire_exit_rule(&mut t_prev)?;
+            let t_feed = lap(&tel, &mut t_prev);
+            if let (Some(t0), Some(t)) = (t_exit, t_feed) {
                 tel.phases.add("run/exit", t - t0);
-                t_prev = Some(t);
             }
             if exited {
                 if let Some(t0) = t_round {
@@ -730,26 +789,26 @@ impl GreedyExecutor {
                 }
                 continue;
             }
-            self.feed_all()?;
-            if let Some(t0) = t_prev {
+            self.feed_all(&mut t_prev)?;
+            let t_choose = lap(&tel, &mut t_prev);
+            if let (Some(t0), Some(t)) = (t_feed, t_choose) {
                 // The γ phase splits into feed/choose/commit buckets;
                 // the parent accumulates the same boundary intervals so
                 // it is first-used before any child and owns the loop
                 // overhead the children don't see.
-                let t = std::time::Instant::now();
                 tel.phases.add("run/gamma", t - t0);
                 tel.phases.add("run/gamma/feed", t - t0);
-                t_prev = Some(t);
             }
             let mut fired = false;
             for i in 0..self.nexts.len() {
-                if self.fire_next_rule(i)? {
+                if self.fire_next_rule(i, &mut t_prev)? {
                     fired = true;
                     break;
                 }
             }
-            if let Some(t0) = t_prev {
-                tel.phases.add("run/gamma", t0.elapsed());
+            let t_end = lap(&tel, &mut t_prev);
+            if let (Some(t0), Some(t)) = (t_choose, t_end) {
+                tel.phases.add("run/gamma", t - t0);
             }
             if let Some(t0) = t_round {
                 tel.record_round_nanos(t0.elapsed().as_nanos() as u64);
@@ -767,7 +826,7 @@ impl GreedyExecutor {
     }
 
     /// Fire one exit choice rule instance, generic-candidate style.
-    fn fire_exit_rule(&mut self) -> Result<bool, CoreError> {
+    fn fire_exit_rule(&mut self, t_prev: &mut Option<Instant>) -> Result<bool, CoreError> {
         let GreedyExecutor {
             exits,
             exit_plans,
@@ -778,8 +837,6 @@ impl GreedyExecutor {
             tel,
             chosen,
             stats,
-            pool,
-            pool_stats,
             ..
         } = self;
         let prov = db.provenance().cloned();
@@ -788,7 +845,6 @@ impl GreedyExecutor {
             if exit_stale[ei] == Some(body_size) {
                 continue;
             }
-            let t0 = tel.profiler.start();
             let cached = exit_plans.is_cached(ei);
             let plan = exit_plans
                 .get_or_compile_typed(ei, rule, &exit_statics[ei], Some(&*tel.metrics))
@@ -796,20 +852,7 @@ impl GreedyExecutor {
             if cached {
                 tel.profiler.record_plan_hit(*ri);
             }
-            // Parallel runs fan the match collection's first scan out
-            // over the pool (chunk-order merge — the enumeration is
-            // identical to the serial one); serial runs keep the exact
-            // sequential path.
-            let frames = if pool.is_parallel() {
-                let obs = FanoutObs {
-                    profiler: tel.profiler.is_enabled().then_some(&*tel.profiler),
-                    stats: pool_stats.as_deref(),
-                    trace: None,
-                };
-                collect_matches_plan_pooled(db, rule, &plan, pool, obs)?
-            } else {
-                collect_matches_plan(db, rule, &plan, None)?
-            };
+            let frames = collect_matches_plan(db, rule, &plan, None)?;
             let considered = frames.len() as u64;
             tel.metrics.choice_candidates_considered.add(considered);
             let mut consistent = Vec::new();
@@ -844,11 +887,7 @@ impl GreedyExecutor {
                     rejected,
                 });
             }
-            let minimal = if pool.is_parallel() {
-                filter_extrema_sharded(rule, consistent, pool)?
-            } else {
-                filter_extrema(rule, consistent)?
-            };
+            let minimal = filter_extrema(rule, consistent)?;
             // Deterministic pick: smallest (head, chosen-args).
             let mut best: Option<(Row, Vec<Value>, Bindings)> = None;
             for b in minimal {
@@ -865,7 +904,7 @@ impl GreedyExecutor {
             }
             let Some((head, args, b)) = best else {
                 exit_stale[ei] = Some(body_size);
-                tel.profiler.finish(t0, *ri, 0, 0);
+                charge(tel, t_prev, *ri, 0);
                 continue;
             };
             let pairs = eval_goal_pairs(rule, &b)?;
@@ -885,215 +924,41 @@ impl GreedyExecutor {
             chosen.push(ChosenRecord { rule_idx: *ri, pairs, chosen_args: args });
             stats.gamma_steps += 1;
             tel.metrics.gamma_steps.inc();
-            tel.profiler.finish(t0, *ri, 1, 1);
+            charge(tel, t_prev, *ri, 1);
             return Ok(true);
         }
         Ok(false)
     }
 
-    /// Feed every next rule in index order. Serial runs (and
-    /// single-clique programs — all nine shipped ones) walk the rules
-    /// on the coordinator. With several FD-independent stage cliques, a
-    /// parallel pool, and the batch kernel enabled, the read-only
-    /// *collection* of each clique's fast-feed batches fans out over
-    /// the pool — one clique-level task per group — and the coordinator
-    /// applies the collected batches in rule order. Collection touches
-    /// no shared state (workers read arenas and plan data only; the
-    /// debug no-intern guard is armed), so the applied queue state and
-    /// every counter are byte-identical to the serial walk.
-    fn feed_all(&mut self) -> Result<(), CoreError> {
-        // Interned once per feed phase, before any fan-out: the
-        // coordinator owns all interning, and hoisting it keeps the
-        // encode-hit count identical at every thread count.
+    /// Feed every next rule in index order. The profiler runs on a
+    /// chained clock from `t_prev`, the run loop's last boundary: with
+    /// the profiler on, one clock read per rule, each interval charged
+    /// to the rule it ends, so the whole feed phase is attributed.
+    fn feed_all(&mut self, t_prev: &mut Option<Instant>) -> Result<(), CoreError> {
+        // Interned once per feed phase, not per rule: `encode_hits` is
+        // a pinned dictionary counter.
         let nil_cost = dictionary::encode(&Value::Nil);
-        let parallel = self.pool.is_parallel()
-            && self.config.gamma_batch
-            && self.feed_groups.len() > 1
-            && self.nexts.iter().any(|ns| ns.plan.fast_feed);
-        if !parallel {
-            for i in 0..self.nexts.len() {
-                self.feed(i, nil_cost)?;
-            }
-            return Ok(());
-        }
-        let mut slots: Vec<Option<Result<FeedBatch, CoreError>>> =
-            (0..self.nexts.len()).map(|_| None).collect();
-        {
-            let nexts = &self.nexts;
-            let db = &self.db;
-            let groups = &self.feed_groups;
-            let profiler = self.tel.profiler.is_enabled().then_some(&*self.tel.profiler);
-            let collected =
-                self.pool.run_stats(groups.len(), self.pool_stats.as_deref(), |gi, worker| {
-                    dictionary::forbid_intern_on_this_thread(true);
-                    let t0 = profiler.and_then(|p| p.lane_start());
-                    let out: Vec<(usize, Result<FeedBatch, CoreError>)> = groups[gi]
-                        .iter()
-                        .filter(|&&i| nexts[i].plan.fast_feed)
-                        .map(|&i| (i, collect_feed(&nexts[i], db, nil_cost)))
-                        .collect();
-                    if let (Some(p), Some(t0)) = (profiler, t0) {
-                        p.record_lane(worker, t0.elapsed());
-                    }
-                    out
-                });
-            for (i, batch) in collected.into_iter().flatten() {
-                slots[i] = Some(batch);
-            }
-        }
-        // Apply in rule order — mutation happens here only, so the
-        // merge order (and any error surfaced) matches the serial walk.
-        for (i, slot) in slots.iter_mut().enumerate() {
-            match slot.take() {
-                Some(batch) => self.apply_feed(i, batch?),
-                None => self.feed(i, nil_cost)?,
-            }
-        }
-        Ok(())
-    }
-
-    /// Apply one collected [`FeedBatch`] to next rule `i` (coordinator
-    /// side of the clique fan-out).
-    fn apply_feed(&mut self, i: usize, batch: FeedBatch) {
-        let GreedyExecutor { nexts, stats, tel, .. } = self;
-        let ns = &mut nexts[i];
-        let t0 = tel.profiler.start();
-        ns.stage = ns.stage.max(batch.stage_max);
-        ns.head_mark = batch.head_len;
-        ns.w_used.extend(batch.new_w);
-        ns.src_mark = batch.src_len;
-        ns.rql.extend_batch(batch.triples);
-        stats.queue_peak = stats.queue_peak.max(ns.rql.queue_len());
-        tel.profiler.finish(t0, ns.plan.rule_idx, 0, 0);
-    }
-
-    /// Push newly derived source facts of next rule `i` into its `Q_r`,
-    /// and refresh the rule's stage high-water mark.
-    fn feed(&mut self, i: usize, nil_cost: u32) -> Result<(), CoreError> {
-        // Fused batch path: harvest the batch read-only (exactly what a
-        // clique worker would collect), then apply it — one decode-free
-        // sift pass through `Rql::extend_batch`.
-        if self.nexts[i].plan.fast_feed && self.config.gamma_batch {
-            let t0 = self.tel.profiler.start();
-            let batch = collect_feed(&self.nexts[i], &self.db, nil_cost)?;
-            let GreedyExecutor { nexts, stats, .. } = self;
-            let ns = &mut nexts[i];
-            ns.stage = ns.stage.max(batch.stage_max);
-            ns.head_mark = batch.head_len;
-            ns.w_used.extend(batch.new_w);
-            ns.src_mark = batch.src_len;
-            ns.rql.extend_batch(batch.triples);
-            stats.queue_peak = stats.queue_peak.max(ns.rql.queue_len());
-            self.tel.profiler.finish(t0, self.nexts[i].plan.rule_idx, 0, 0);
-            return Ok(());
-        }
-        let GreedyExecutor { nexts, db, stats, tel, .. } = self;
-        let ns = &mut nexts[i];
-        let t0 = tel.profiler.start();
-        let plan = &ns.plan;
-
-        // Track the head relation's max stage (exit rules seed it), and
-        // register every head tuple's W projection: the stage variable
-        // "associates each tuple with a unique value of the index I,
-        // and vice versa" (Section 3) — the W → I direction must also
-        // cover facts produced by exit rules, or a chain program can
-        // re-commit an exit tuple at a fresh stage forever.
-        let head_rel = db.relation(plan.head_pred);
-        let head_rows = head_rel.since(ns.head_mark);
-        let mut new_w: Vec<Vec<u32>> = Vec::new();
-        for r in 0..head_rows.len() {
-            match head_rows.try_cell(r, plan.stage_pos).map(decode_ref) {
-                Some(Value::Int(s)) => ns.stage = ns.stage.max(*s),
-                Some(other) => return Err(CoreError::NonIntegerStage { found: other.to_string() }),
-                None => {}
-            }
-            new_w.push(
-                (0..head_rows.arity())
-                    .filter(|&c| c != plan.stage_pos)
-                    .map(|c| head_rows.cell(r, c))
-                    .collect(),
-            );
-        }
-        ns.head_mark = head_rel.len();
-        ns.w_used.extend(new_w);
-
-        // The new rows are read in place from the relation's column
-        // arenas; the only copy made is the id row that enters `Q_r`.
-        let src_rel = db.relation(plan.source_pred);
-        let rows = src_rel.since(ns.src_mark);
-        ns.src_mark = src_rel.len();
-
-        let Literal::Pos(source) = &plan.rule.body[plan.source_lit] else { unreachable!() };
-
-        // Bindings-free fast path (GBC032 rules, analysis on), per-row
-        // variant — taken when the batch kernel is opted out
-        // (`GBC_NO_GAMMA_BATCH=1`). Each row's admission is decided by
-        // the compiled columnar checks; the cost id IS the cost
-        // column's cell and the congruence key is read straight off the
-        // arena. Byte-identical to the generic loop below —
-        // `match_term_id` would bind each variable to exactly the cell
-        // id we read here, and `FeedCheck` reproduces the pre-check
-        // comparisons in id space.
-        if plan.fast_feed {
-            if rows.arity() == source.args.len() {
-                let cost_col = plan.cost.map(|(_, col)| col);
-                for r in 0..rows.len() {
-                    if !plan.feed_checks.iter().all(|c| c.eval(&|col| rows.cell(r, col))) {
-                        continue;
-                    }
-                    let cost = match cost_col {
-                        Some(c) => rows.cell(r, c),
-                        None => nil_cost,
-                    };
-                    let key: Vec<u32> = plan.cong_cols.iter().map(|&c| rows.cell(r, c)).collect();
-                    ns.rql.insert(key, cost, rows.id_row(r));
-                    stats.queue_peak = stats.queue_peak.max(ns.rql.queue_len());
-                }
-            }
-            tel.profiler.finish(t0, ns.plan.rule_idx, 0, 0);
-            return Ok(());
-        }
-
-        let mut b = Bindings::new(plan.rule.num_vars());
-        let mut trail: Vec<VarId> = Vec::new();
-        for r in 0..rows.len() {
-            for v in trail.drain(..) {
-                b.unbind(v);
-            }
-            let matched = rows.arity() == source.args.len()
-                && source
-                    .args
-                    .iter()
-                    .enumerate()
-                    .all(|(c, t)| match_term_id(t, rows.cell(r, c), &mut b, &mut trail));
-            if !matched {
-                continue;
-            }
-            if !apply_comparisons(&plan.pre_checks, &mut b, &mut trail)? {
-                continue;
-            }
-            let cost = match plan.cost {
-                Some((cv, _)) => {
-                    let id = b.id_of(cv);
-                    if id != DICT_MISS {
-                        id
-                    } else {
-                        let v = b.get(cv).expect("cost variable bound by source match");
-                        dictionary::encode(v)
-                    }
-                }
-                None => nil_cost,
+        for i in 0..self.nexts.len() {
+            let ns = &self.nexts[i];
+            let batch = if ns.plan.fast_feed {
+                collect_feed(ns, &self.db, nil_cost)?
+            } else {
+                collect_feed_frames(ns, &self.db, nil_cost)?
             };
-            let key: Vec<u32> = plan.cong_cols.iter().map(|&c| rows.cell(r, c)).collect();
-            ns.rql.insert(key, cost, rows.id_row(r));
-            stats.queue_peak = stats.queue_peak.max(ns.rql.queue_len());
+            let ns = &mut self.nexts[i];
+            ns.apply_feed(batch);
+            self.stats.queue_peak = self.stats.queue_peak.max(ns.rql.queue_len());
+            charge(&self.tel, t_prev, ns.plan.rule_idx, 0);
         }
-        tel.profiler.finish(t0, ns.plan.rule_idx, 0, 0);
         Ok(())
     }
 
     /// γ for next rule `i`: pop candidates until one passes every check.
-    fn fire_next_rule(&mut self, i: usize) -> Result<bool, CoreError> {
+    fn fire_next_rule(
+        &mut self,
+        i: usize,
+        t_prev: &mut Option<Instant>,
+    ) -> Result<bool, CoreError> {
         let tel = self.tel.clone();
         let prov = self.db.provenance().cloned();
         // Split the borrow: take what we need out of `self.nexts[i]`.
@@ -1111,12 +976,11 @@ impl GreedyExecutor {
             });
         }
         let next_stage = ns.stage.checked_add(1).ok_or(CoreError::StepLimit { steps: u64::MAX })?;
-        let t0 = tel.profiler.start();
         // γ bucket accounting: everything up to a commit decision is
         // "choose" (pops, re-checks, FD tests, discards); the committed
         // candidate's bookkeeping is "commit". Both nest under the
         // `run/gamma` parent charged by the run loop.
-        let t_phase = tel.phases.is_enabled().then(std::time::Instant::now);
+        let t_phase = tel.phases.is_enabled().then(Instant::now);
 
         // One scratch frame for the whole retrieve-least loop: the trail
         // rewinds it between pops instead of reallocating per candidate.
@@ -1235,7 +1099,7 @@ impl GreedyExecutor {
 
             // Commit.
             let t_commit = t_phase.map(|t| {
-                let now = std::time::Instant::now();
+                let now = Instant::now();
                 tel.phases.add("run/gamma/choose", now - t);
                 now
             });
@@ -1278,7 +1142,7 @@ impl GreedyExecutor {
             self.chosen.push(ChosenRecord { rule_idx, pairs, chosen_args });
             self.stats.gamma_steps += 1;
             tel.metrics.gamma_steps.inc();
-            tel.profiler.finish(t0, rule_idx, 1, 1);
+            charge(&tel, t_prev, rule_idx, 1);
             if let Some(t) = t_commit {
                 tel.phases.add("run/gamma/commit", t.elapsed());
             }
@@ -1295,9 +1159,34 @@ impl GreedyExecutor {
                 rejected,
             });
         }
-        tel.profiler.finish(t0, ns.plan.rule_idx, 0, 0);
+        charge(&tel, t_prev, ns.plan.rule_idx, 0);
         Ok(false)
     }
+}
+
+/// Close the chained-clock interval since `*t_prev`, charging it to
+/// `rule` with `commits` firings and derived tuples; the boundary
+/// starts the next interval. Phases see only [`lap`] boundaries, so
+/// without a profiler the interval simply runs on.
+fn charge(tel: &Telemetry, t_prev: &mut Option<Instant>, rule: usize, commits: u64) {
+    if !tel.profiler.is_enabled() {
+        return;
+    }
+    if let Some(t0) = *t_prev {
+        let t = Instant::now();
+        tel.profiler.record(rule, commits, commits, t - t0);
+        *t_prev = Some(t);
+    }
+}
+
+/// Close the chained-clock interval since `*t_prev` as profiler
+/// overhead (no rule claimed it) and return the boundary.
+fn lap(tel: &Telemetry, t_prev: &mut Option<Instant>) -> Option<Instant> {
+    let t0 = (*t_prev)?;
+    let t = Instant::now();
+    tel.profiler.add_overhead(t - t0);
+    *t_prev = Some(t);
+    Some(t)
 }
 
 /// Evaluate the comparison literals in order, with `=`-assignment

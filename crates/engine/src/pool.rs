@@ -39,17 +39,9 @@ pub const MIN_CHUNK: usize = 64;
 /// without drowning the merge in tiny buffers.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// Resolve the thread count the CLI default asks for: the `GBC_THREADS`
-/// environment variable when set to a positive integer, otherwise
+/// The thread count the CLI uses when `--threads` is not given:
 /// [`std::thread::available_parallelism`] (1 if unknown).
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("GBC_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
@@ -327,8 +319,8 @@ impl WorkerPool {
                 });
             }
         });
-        // Coarse fan-outs (fewer tasks than threads — e.g. one task per
-        // stage clique) spawn only `workers` lanes; the remaining lanes
+        // Coarse fan-outs (fewer tasks than threads — e.g. a two-chunk
+        // round on a wider pool) spawn only `workers` lanes; the remaining lanes
         // sat out the whole fan-out. Charge them the fan-out's wall
         // time as idle so the utilization table reports occupancy over
         // the pool's configured width, not just the lanes that ran.

@@ -7,7 +7,7 @@
 //! | GET    | `/stats`    | `?session=NAME` (optional)   | schema-v2 stats JSON |
 //! | GET    | `/journal`  | `?session=NAME`              | choice-audit JSON-lines |
 //! | GET    | `/programs` | —                            | loaded-session table |
-//! | POST   | `/load`     | `{"name", "program"|"files"}`| compile summary |
+//! | POST   | `/load`     | `{"name", "program"}`        | compile summary |
 //! | POST   | `/run`      | `{"session", "threads"?, "journal"?}` | canonical result + counters |
 //!
 //! Every handler is synchronous and runs on the worker thread that
@@ -160,43 +160,18 @@ fn body_object(req: &Request, allowed: &[&str]) -> Result<Json, Response> {
 }
 
 fn load(state: &ServerState, req: &Request) -> Response {
-    let body = match body_object(req, &["name", "program", "files"]) {
+    let body = match body_object(req, &["name", "program"]) {
         Ok(b) => b,
         Err(r) => return r,
     };
     let Some(name) = body.get("name").and_then(Json::as_str) else {
         return Response::error(400, "POST /load requires a string `name`");
     };
-    let mut sm = SourceMap::new();
-    let source = match (body.get("program").and_then(Json::as_str), body.get("files")) {
-        (Some(text), None) => {
-            sm.add_file("<inline>", text);
-            "<inline>".to_owned()
-        }
-        (None, Some(files)) => {
-            let Some(files) = files.as_arr() else {
-                return Response::error(400, "`files` must be an array of paths");
-            };
-            let mut names = Vec::new();
-            for f in files {
-                let Some(path) = f.as_str() else {
-                    return Response::error(400, "`files` must be an array of string paths");
-                };
-                match std::fs::read_to_string(path) {
-                    Ok(text) => {
-                        sm.add_file(path, &text);
-                    }
-                    Err(e) => return Response::error(400, &format!("{path}: {e}")),
-                }
-                names.push(path.to_owned());
-            }
-            if names.is_empty() {
-                return Response::error(400, "`files` must name at least one file");
-            }
-            names.join(",")
-        }
-        _ => return Response::error(400, "POST /load requires exactly one of `program`, `files`"),
+    let Some(text) = body.get("program").and_then(Json::as_str) else {
+        return Response::error(400, "POST /load requires a string `program`");
     };
+    let mut sm = SourceMap::new();
+    sm.add_file("<inline>", text);
     let compiled = match compile_source(&sm) {
         Ok(c) => c,
         Err(e) => return Response::error(400, &e),
@@ -207,7 +182,7 @@ fn load(state: &ServerState, req: &Request) -> Response {
         ("class", Json::Str(compiled.class().summary())),
         ("greedy_plan", Json::Bool(compiled.has_greedy_plan())),
     ]);
-    state.install(Session::new(name, &source, compiled, Database::new()));
+    state.install(Session::new(name, "<inline>", compiled, Database::new()));
     Response::json(200, format!("{}\n", summary.pretty()))
 }
 

@@ -95,11 +95,11 @@ pub struct Metrics {
     /// (the type-analysis-licensed specialization; zero when the cost
     /// column is not proved `int` or analysis is off).
     pub heap_int_fast_compares: Counter,
-    /// Rows that entered some `Q_r` through the fused feed→heap batch
-    /// kernel (`Rql::extend_batch`). Like `heap_int_fast_compares`,
-    /// this counter reports *which path* ran, not what was computed:
-    /// it is the only counter allowed to differ between
-    /// `GBC_NO_GAMMA_BATCH` on and off.
+    /// Rows that entered some `Q_r` through the columnar feed→heap
+    /// batch kernel (`Rql::extend_batch`). Like
+    /// `heap_int_fast_compares`, this counter reports *which path* ran,
+    /// not what was computed: zero when analysis is off, where every
+    /// feed takes the frame-based path row by row.
     pub heap_batch_pushes: Counter,
     // -- γ --
     /// Committed γ steps (next-rule and exit-rule firings).

@@ -159,9 +159,12 @@ impl MetricsRegistry {
         {
             return found;
         }
+        // One exposition family per base name, so every labelled key
+        // of a base must share its type.
+        let base = base_name(name);
         assert!(
-            !metrics.iter().any(|(n, _, _)| n == name),
-            "metric `{name}` already registered with a different type"
+            !metrics.iter().any(|(n, _, m)| base_name(n) == base && pick(m).is_none()),
+            "metric `{base}` already registered with a different type"
         );
         let (handle, metric) = make();
         metrics.push((name.to_owned(), help.to_owned(), metric));
@@ -217,37 +220,55 @@ impl MetricsRegistry {
     }
 
     /// Render every registered metric in the Prometheus text exposition
-    /// format, in registration order. Histograms render as summaries:
-    /// `{quantile="..."}` series plus `_sum` and `_count`, which is the
-    /// scrape-side convention for client-computed quantiles.
+    /// format. Labelled keys (`name{l="v"}`) group into one family per
+    /// base name, in first-registration order: one `# HELP`/`# TYPE`
+    /// pair, then every series of the family. Histograms render as
+    /// summaries — `{quantile="..."}` series plus `_sum` and `_count`,
+    /// each carrying the key's own labels — which is the scrape-side
+    /// convention for client-computed quantiles.
     pub fn render_prometheus(&self) -> String {
+        let metrics = self.metrics.read().expect("registry lock");
+        let mut families: Vec<(&str, Vec<usize>)> = Vec::new();
+        for (i, (name, _, _)) in metrics.iter().enumerate() {
+            let base = base_name(name);
+            match families.iter_mut().find(|(b, _)| *b == base) {
+                Some((_, members)) => members.push(i),
+                None => families.push((base, vec![i])),
+            }
+        }
         let mut out = String::new();
-        for (name, help, metric) in self.metrics.read().expect("registry lock").iter() {
-            // A labelled key (`name{l="v"}`) shares the family metadata
-            // of its base name; emit HELP/TYPE against the base.
-            let base = name.split('{').next().unwrap_or(name);
-            match metric {
-                Metric::Counter(c) => {
-                    out.push_str(&format!("# HELP {base} {help}\n# TYPE {base} counter\n"));
-                    out.push_str(&format!("{name} {}\n", c.get()));
-                }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!("# HELP {base} {help}\n# TYPE {base} gauge\n"));
-                    out.push_str(&format!("{name} {}\n", g.get()));
-                }
-                Metric::Hist(h) => {
-                    let snap = h.snapshot();
-                    out.push_str(&format!("# HELP {base} {help}\n# TYPE {base} summary\n"));
-                    for (q, v) in [
-                        ("0.5", snap.p50()),
-                        ("0.9", snap.p90()),
-                        ("0.99", snap.p99()),
-                        ("0.999", snap.p999()),
-                    ] {
-                        out.push_str(&format!("{base}{{quantile=\"{q}\"}} {v}\n"));
+        for (base, members) in families {
+            let (_, help, first) = &metrics[members[0]];
+            let kind = match first {
+                Metric::Counter(_) => "counter",
+                Metric::Gauge(_) => "gauge",
+                Metric::Hist(_) => "summary",
+            };
+            out.push_str(&format!("# HELP {base} {help}\n# TYPE {base} {kind}\n"));
+            for i in members {
+                let (name, _, metric) = &metrics[i];
+                let labels = &name[base.len()..];
+                match metric {
+                    Metric::Counter(c) => out.push_str(&format!("{name} {}\n", c.get())),
+                    Metric::Gauge(g) => out.push_str(&format!("{name} {}\n", g.get())),
+                    Metric::Hist(h) => {
+                        let snap = h.snapshot();
+                        for (q, v) in [
+                            ("0.5", snap.p50()),
+                            ("0.9", snap.p90()),
+                            ("0.99", snap.p99()),
+                            ("0.999", snap.p999()),
+                        ] {
+                            let quantile = format!("quantile=\"{q}\"");
+                            let series = match labels.strip_suffix('}') {
+                                Some(own) => format!("{own},{quantile}}}"),
+                                None => format!("{{{quantile}}}"),
+                            };
+                            out.push_str(&format!("{base}{series} {v}\n"));
+                        }
+                        out.push_str(&format!("{base}_sum{labels} {}\n", snap.sum()));
+                        out.push_str(&format!("{base}_count{labels} {}\n", snap.count()));
                     }
-                    out.push_str(&format!("{base}_sum {}\n", snap.sum()));
-                    out.push_str(&format!("{base}_count {}\n", snap.count()));
                 }
             }
         }
@@ -274,6 +295,12 @@ impl MetricsRegistry {
             .collect();
         Json::Obj(fields)
     }
+}
+
+/// The family name of a registration key: everything before its label
+/// set.
+fn base_name(key: &str) -> &str {
+    key.split('{').next().unwrap_or(key)
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -359,6 +386,82 @@ mod tests {
         assert!(text.contains("gbc_request_nanoseconds{quantile=\"0.5\"}"));
         assert!(text.contains("gbc_request_nanoseconds_count 2\n"));
         assert!(text.contains("gbc_request_nanoseconds_sum 3000\n"));
+    }
+
+    /// Parse a whole exposition: every line is a `# HELP`/`# TYPE`
+    /// comment or a `name{labels} value` sample. Asserts exactly one
+    /// `# TYPE` per family, each sample inside the family declared last,
+    /// and unique `(name, labelset)` pairs, which it returns.
+    fn parse_exposition(text: &str) -> Vec<(String, Vec<String>)> {
+        let mut families: Vec<(String, String)> = Vec::new();
+        let mut series: Vec<(String, Vec<String>)> = Vec::new();
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (family, kind) = rest.split_once(' ').expect("TYPE line has a kind");
+                assert!(!families.iter().any(|(f, _)| f == family), "second TYPE for {family}");
+                families.push((family.to_owned(), kind.to_owned()));
+                continue;
+            }
+            if line.starts_with("# HELP ") {
+                continue;
+            }
+            let (key, value) = line.rsplit_once(' ').expect("sample has a value");
+            value.parse::<f64>().unwrap_or_else(|_| panic!("bad value: {line}"));
+            let (name, labels) = key.split_once('{').unwrap_or((key, "}"));
+            let labels = labels.strip_suffix('}').expect("label set closes");
+            let mut labels: Vec<String> = labels.split(',').map(str::to_owned).collect();
+            labels.retain(|l| !l.is_empty());
+            assert!(labels.iter().all(|l| l.contains("=\"") && l.ends_with('"')), "{line}");
+            labels.sort();
+            let (family, kind) = families.last().expect("sample before any TYPE");
+            let member = name == family
+                || (kind == "summary"
+                    && [format!("{family}_sum"), format!("{family}_count")]
+                        .contains(&name.to_owned()));
+            assert!(member, "sample `{name}` outside its family `{family}`");
+            let entry = (name.to_owned(), labels);
+            assert!(!series.contains(&entry), "duplicate series: {line}");
+            series.push(entry);
+        }
+        series
+    }
+
+    #[test]
+    fn prometheus_exposition_parses_with_unique_series_and_one_type_per_family() {
+        // Shaped like the server's plane: labelled counters and
+        // summaries per endpoint, registered interleaved with each other
+        // and with unlabelled metrics.
+        let reg = MetricsRegistry::new();
+        for ep in ["/run", "/load"] {
+            reg.counter(&format!("gbc_http_requests_total{{endpoint=\"{ep}\"}}"), "requests").inc();
+            reg.hist(&format!("gbc_http_request_nanoseconds{{endpoint=\"{ep}\"}}"), "latency")
+                .record(1000);
+            reg.counter("gbc_runs_total", "runs").inc();
+        }
+        reg.hist("gbc_gamma_round_nanoseconds", "rounds").record(7);
+        let text = reg.render_prometheus();
+        let series = parse_exposition(&text);
+        assert_eq!(text.matches("# TYPE ").count(), 4, "{text}");
+        assert_eq!(text.matches("# HELP ").count(), 4, "{text}");
+        for ep in ["/run", "/load"] {
+            let endpoint = format!("endpoint=\"{ep}\"");
+            let with = |name: &str, labels: &[&str]| {
+                let labels: Vec<String> = labels.iter().map(|l| l.to_string()).collect();
+                series.contains(&(name.to_owned(), labels))
+            };
+            let base = "gbc_http_request_nanoseconds";
+            assert!(with(&format!("{base}_sum"), &[&endpoint]), "{text}");
+            assert!(with(&format!("{base}_count"), &[&endpoint]), "{text}");
+            assert!(with(base, &[&endpoint, "quantile=\"0.99\""]), "{text}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different type")]
+    fn one_family_cannot_mix_types() {
+        let reg = MetricsRegistry::new();
+        reg.counter("gbc_thing{a=\"1\"}", "a counter");
+        reg.gauge("gbc_thing{a=\"2\"}", "now a gauge");
     }
 
     #[test]

@@ -1,26 +1,25 @@
-//! Analysis-specialization equivalence sweep — the PR 8 contract,
-//! extended by PR 10: whole-program analysis (dead-rule pruning, folded
-//! constants, the decode-free `Int` cost heap, the bindings-free feed)
-//! and the batched γ feed kernel are pure optimizations. Every shipped
-//! program must produce byte-identical results with analysis on and off
-//! (`GBC_NO_ANALYZE=1` territory) and with the batch kernel on and off
-//! (`GBC_NO_GAMMA_BATCH=1` territory), across worker thread counts —
-//! same canonical relation dump, same chosen records, same semantic
-//! counters.
+//! Analysis-specialization equivalence sweep: whole-program analysis
+//! (dead-rule pruning, folded constants, the decode-free `Int` cost
+//! heap, the columnar feed batch kernel) is a pure optimization. Every
+//! shipped program must produce byte-identical results with analysis on
+//! and off (`GBC_NO_ANALYZE=1` territory, where every feed takes the
+//! frame-based oracle), across worker thread counts — same canonical
+//! relation dump, same chosen records, same semantic counters.
 //!
-//! Two counters *may* differ, one per switch: `heap_int_fast_compares`
-//! (the point of the Int-heap specialization) and `heap_batch_pushes`
-//! (the point of the batch kernel). Both are zeroed on both sides
-//! before the snapshot comparison and asserted positive/zero where the
-//! switch pins them.
+//! Two counters *may* differ: `heap_int_fast_compares` (the point of
+//! the Int-heap specialization) and `heap_batch_pushes` (rows that
+//! entered `Q_r` through the columnar kernel). Both are zeroed on both
+//! sides before the snapshot comparison and asserted positive/zero
+//! where analysis pins them.
 
 use gbc_core::{ChosenRecord, GreedyConfig};
 use gbc_storage::Database;
 use gbc_telemetry::{Snapshot, Telemetry};
 
 /// The ci.sh observability groupings: every shipped program with the
-/// EDB file(s) it runs against.
-const PROGRAMS: [&[&str]; 9] = [
+/// EDB file(s) it runs against, plus three independent programs loaded
+/// together (several next rules feeding in one γ loop).
+const PROGRAMS: [&[&str]; 10] = [
     &["programs/prim.dl", "programs/graph_small.dl"],
     &["programs/spanning.dl", "programs/graph_small.dl"],
     &["programs/kruskal.dl", "programs/graph_small.dl"],
@@ -30,10 +29,11 @@ const PROGRAMS: [&[&str]; 9] = [
     &["programs/scheduling.dl"],
     &["programs/tsp.dl"],
     &["programs/assignment.dl"],
+    &["programs/prim.dl", "programs/graph_small.dl", "programs/sort.dl"],
 ];
 
-/// Everything that must be invariant under the analysis and batch
-/// switches, plus the two counters that are allowed to move.
+/// Everything that must be invariant under the analysis switch, plus
+/// the two counters that are allowed to move.
 #[derive(Debug, PartialEq)]
 struct RunFingerprint {
     canonical: String,
@@ -63,17 +63,12 @@ fn compile_group(files: &[&str]) -> gbc_core::Compiled {
 
 /// Run one group, mirroring `gbc run`: greedy when planned, generic
 /// otherwise.
-fn run_group(
-    files: &[&str],
-    threads: usize,
-    analyze: bool,
-    gamma_batch: bool,
-) -> (RunFingerprint, PathCounters) {
+fn run_group(files: &[&str], threads: usize, analyze: bool) -> (RunFingerprint, PathCounters) {
     let compiled = compile_group(files);
     let edb = Database::new();
     let tel = Telemetry::enabled();
     let (db, chosen) = if compiled.has_greedy_plan() {
-        let config = GreedyConfig { threads, analyze, gamma_batch, ..GreedyConfig::default() };
+        let config = GreedyConfig { threads, analyze, ..GreedyConfig::default() };
         let run = compiled.run_greedy_telemetry(&edb, config, &tel).expect("greedy run");
         (run.db, run.chosen)
     } else {
@@ -100,8 +95,8 @@ fn run_group(
 fn analysis_specializations_change_nothing_observable() {
     for files in PROGRAMS {
         for threads in [1, 4] {
-            let (on, _) = run_group(files, threads, true, true);
-            let (off, off_raw) = run_group(files, threads, false, true);
+            let (on, _) = run_group(files, threads, true);
+            let (off, off_raw) = run_group(files, threads, false);
             assert!(!on.canonical.is_empty(), "{files:?} produced no facts");
             assert_eq!(
                 on, off,
@@ -112,7 +107,7 @@ fn analysis_specializations_change_nothing_observable() {
                 "{files:?}: analysis off must never take the Int heap fast path"
             );
             // The batch kernel rides on the analysis-gated fast feed,
-            // so analysis off also forces the sequential insert path.
+            // so analysis off feeds every row through the frame oracle.
             assert_eq!(
                 off_raw.batch_pushes, 0,
                 "{files:?}: analysis off must never take the batch feed path"
@@ -122,33 +117,17 @@ fn analysis_specializations_change_nothing_observable() {
 }
 
 #[test]
-fn gamma_batch_kernel_changes_nothing_observable() {
-    for files in PROGRAMS {
-        for threads in [1, 2, 4, 8] {
-            let (on, _) = run_group(files, threads, true, true);
-            let (off, off_raw) = run_group(files, threads, true, false);
-            assert!(!on.canonical.is_empty(), "{files:?} produced no facts");
-            assert_eq!(on, off, "{files:?} diverged between batch on/off at {threads} thread(s)");
-            assert_eq!(
-                off_raw.batch_pushes, 0,
-                "{files:?}: batch off must never take the batch feed path"
-            );
-        }
-    }
-}
-
-#[test]
 fn batch_kernel_engages_on_fast_feed_programs() {
     // prim's feed (source scan + `Y != 0` pre-check) compiles to
     // columnar checks, so the batch kernel must actually run.
-    let (_, raw) = run_group(&["programs/prim.dl", "programs/graph_small.dl"], 1, true, true);
+    let (_, raw) = run_group(&["programs/prim.dl", "programs/graph_small.dl"], 1, true);
     assert!(raw.batch_pushes > 0, "prim: fast feed is columnar, the batch kernel should engage");
 }
 
 #[test]
 fn int_cost_heap_engages_on_integer_cost_programs() {
     for files in [&["programs/prim.dl", "programs/graph_small.dl"][..], &["programs/sort.dl"][..]] {
-        let (_, raw) = run_group(files, 1, true, true);
+        let (_, raw) = run_group(files, 1, true);
         assert!(
             raw.int_fast > 0,
             "{files:?}: cost column is provably int, the fast heap should engage"
@@ -164,15 +143,5 @@ fn no_analyze_env_var_flips_the_default() {
     let on = GreedyConfig { analyze: true, ..GreedyConfig::default() };
     let off = GreedyConfig { analyze: false, ..GreedyConfig::default() };
     assert!(on.analyze && !off.analyze);
-    assert_eq!(on.max_steps, off.max_steps);
-}
-
-#[test]
-fn no_gamma_batch_env_var_flips_the_default() {
-    // Same pattern as `no_analyze_env_var_flips_the_default`: explicit
-    // construction, never mutate the process environment.
-    let on = GreedyConfig { gamma_batch: true, ..GreedyConfig::default() };
-    let off = GreedyConfig { gamma_batch: false, ..GreedyConfig::default() };
-    assert!(on.gamma_batch && !off.gamma_batch);
     assert_eq!(on.max_steps, off.max_steps);
 }

@@ -26,17 +26,22 @@ fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap().to_path_buf()
 }
 
-/// What `gbc run programs/prim.dl programs/graph_small.dl --threads 2`
-/// prints (minus the trailing newline), plus its counter snapshot —
-/// computed in-process through the same layers the CLI uses.
-fn expected_prim_run() -> (String, Json) {
+/// The text of `programs/prim.dl` followed by `programs/graph_small.dl`.
+fn prim_source() -> String {
     let root = repo_root();
     let mut source = String::new();
     for f in ["programs/prim.dl", "programs/graph_small.dl"] {
         source.push_str(&std::fs::read_to_string(root.join(f)).unwrap());
         source.push('\n');
     }
-    let program = gbc_parser::parse_program(&source).unwrap();
+    source
+}
+
+/// What `gbc run programs/prim.dl programs/graph_small.dl --threads 2`
+/// prints (minus the trailing newline), plus its counter snapshot —
+/// computed in-process through the same layers the CLI uses.
+fn expected_prim_run() -> (String, Json) {
+    let program = gbc_parser::parse_program(&prim_source()).unwrap();
     let compiled = gbc_core::compile(program).unwrap();
     let tel = gbc_telemetry::Telemetry::enabled();
     let run = compiled
@@ -52,13 +57,9 @@ fn start_server() -> (String, gbc_serve::ServerHandle) {
 }
 
 fn load_prim(addr: &str) {
-    let root = repo_root();
-    let body = format!(
-        "{{\"name\": \"prim\", \"files\": [\"{}\", \"{}\"]}}",
-        root.join("programs/prim.dl").display(),
-        root.join("programs/graph_small.dl").display()
-    );
-    let (status, reply) = client::post_json(addr, "/load", &body).expect("POST /load");
+    let body =
+        Json::obj(vec![("name", Json::Str("prim".into())), ("program", Json::Str(prim_source()))]);
+    let (status, reply) = client::post_json(addr, "/load", &body.pretty()).expect("POST /load");
     assert_eq!(status, 200, "load failed: {reply}");
     let json = Json::parse(reply.trim()).unwrap();
     assert_eq!(json.get("greedy_plan"), Some(&Json::Bool(true)));
@@ -220,6 +221,17 @@ fn load_rejects_bad_programs_with_rendered_diagnostics() {
             .unwrap();
     assert_eq!(status, 400);
     assert!(body.contains("\"error\""), "{body}");
+
+    // `/load` takes inline program text only: the server never reads a
+    // path a client names.
+    let path = repo_root().join("programs/prim.dl");
+    let files = Json::obj(vec![
+        ("name", Json::Str("prim".into())),
+        ("files", Json::Arr(vec![Json::Str(path.display().to_string())])),
+    ]);
+    let (status, body) = client::post_json(&addr, "/load", &files.pretty()).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("unknown field `files`"), "{body}");
 
     let session = Session::new(
         "ok",
