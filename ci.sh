@@ -213,6 +213,12 @@ grep -q '"label": "post-PR10"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR10 run" >&2
     exit 1
 }
+# And the post-PR13 record (id-space fact path: facts encoded once per
+# compiled program, heads inserted as ids, arena-direct renderer).
+grep -q '"label": "post-PR13"' BENCH_experiments.json || {
+    echo "BENCH_experiments.json is missing the committed post-PR13 run" >&2
+    exit 1
+}
 for col in dict_entries encode_hits decode_calls heap_batch_pushes; do
     grep -q "\"$col\"" BENCH_experiments.json || {
         echo "BENCH_experiments.json rows lack column: $col" >&2

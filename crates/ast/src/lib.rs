@@ -29,6 +29,7 @@ pub mod literal;
 pub mod pretty;
 pub mod program;
 pub mod rule;
+pub mod slots;
 pub mod span;
 pub mod symbol;
 pub mod term;

@@ -4,12 +4,19 @@
 //! (the Huffman tree constructor `t`) are interned once per process and
 //! compared as `u32`s thereafter. Interned strings are leaked — the
 //! interner lives for the lifetime of the process, which is the usual
-//! trade-off for compiler-style workloads and keeps `as_str` free of
-//! locks on the read path.
+//! trade-off for compiler-style workloads.
+//!
+//! [`Symbol::intern`] takes the interner's lock; [`Symbol::as_str`]
+//! does not. The id → string side is a [`Slots`] array written once
+//! per new symbol, so reads — and with them every [`Symbol`] ordering
+//! comparison, which resolves both strings — never contend with each
+//! other or with a concurrent intern.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
+
+use crate::slots::Slots;
 
 /// An interned string. Cheap to copy, hash and compare.
 ///
@@ -19,34 +26,33 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+/// string → id; the lock serialises id assignment.
+fn interner() -> &'static Mutex<HashMap<&'static str, u32>> {
+    static INTERNER: OnceLock<Mutex<HashMap<&'static str, u32>>> = OnceLock::new();
+    INTERNER.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| Mutex::new(Interner { map: HashMap::new(), strings: Vec::new() }))
-}
+/// id → string, read without the lock.
+static STRINGS: Slots<&'static str> = Slots::new();
 
 impl Symbol {
     /// Intern `s`, returning its symbol. Idempotent.
     pub fn intern(s: &str) -> Symbol {
-        let mut guard = interner().lock().expect("symbol interner poisoned");
-        if let Some(&id) = guard.map.get(s) {
+        let mut map = interner().lock().expect("symbol interner poisoned");
+        if let Some(&id) = map.get(s) {
             return Symbol(id);
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = u32::try_from(guard.strings.len()).expect("interner overflow");
-        guard.strings.push(leaked);
-        guard.map.insert(leaked, id);
+        let id = u32::try_from(map.len()).expect("interner overflow");
+        // Publish the string before the id escapes the lock.
+        STRINGS.set(id, leaked);
+        map.insert(leaked, id);
         Symbol(id)
     }
 
-    /// The interned string.
+    /// The interned string. Lock-free.
     pub fn as_str(self) -> &'static str {
-        let guard = interner().lock().expect("symbol interner poisoned");
-        guard.strings[self.0 as usize]
+        STRINGS.get(self.0).expect("symbol ids come only from `intern`")
     }
 
     /// The raw interner id. Exposed for dense-map keying in the engine.
@@ -112,6 +118,20 @@ mod tests {
         let z = Symbol::intern("zzz_order_probe");
         let a = Symbol::intern("aaa_order_probe");
         assert!(a < z);
+    }
+
+    #[test]
+    fn reads_proceed_while_another_thread_interns() {
+        let known = Symbol::intern("lock_free_read_probe");
+        // Hold the interner lock, as a thread in the middle of `intern`
+        // does; a reader must still resolve existing symbols.
+        let interning = interner().lock().expect("symbol interner poisoned");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || tx.send(known.as_str()).expect("receiver alive"));
+        let read = rx.recv_timeout(std::time::Duration::from_secs(30));
+        drop(interning);
+        reader.join().expect("reader thread");
+        assert_eq!(read.expect("as_str waited for the interner lock"), "lock_free_read_probe");
     }
 
     #[test]

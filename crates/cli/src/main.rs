@@ -588,7 +588,7 @@ fn cmd_analyze(opts: &Options) -> Result<(), String> {
 fn cmd_run(opts: &Options) -> Result<(), String> {
     let dict_base = dict_stats();
     let (program, sm) = load(&opts.files)?;
-    let compiled = compile(program.clone()).map_err(|e| e.to_string())?;
+    let compiled = compile(program).map_err(|e| e.to_string())?;
     let edb = Database::new();
     let (tel, obs) = opts.telemetry();
 
@@ -617,7 +617,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     };
 
     println!("{}", run.db.canonical_form());
-    opts.report(&tel, &obs, &program, &sm, &dict_base)?;
+    opts.report(&tel, &obs, compiled.program(), &sm, &dict_base)?;
     if opts.profile {
         if let Some(pool) = &run.pool {
             eprint!("{}", render_pool(pool));
@@ -671,13 +671,13 @@ fn cmd_explain(opts: &Options) -> Result<(), String> {
     let (program, sm) = load(&opts.files)?;
     let query = gbc_parser::parse_rule(&format!("query <- {}.", atom.trim().trim_end_matches('.')))
         .map_err(|e| format!("bad query atom `{atom}`: {e}"))?;
-    let compiled = compile(program.clone()).map_err(|e| e.to_string())?;
+    let compiled = compile(program).map_err(|e| e.to_string())?;
     let mut edb = Database::new();
     let arena = ProvenanceArena::shared();
     edb.set_provenance(Arc::clone(&arena));
     let (tel, _obs) = opts.telemetry();
     let run = compiled.run_telemetry(&edb, &tel).map_err(|e| e.to_string())?;
-    let out = gbc_core::explain::explain_atom(&program, &sm, &run.db, &arena, &query)?;
+    let out = gbc_core::explain::explain_atom(compiled.program(), &sm, &run.db, &arena, &query)?;
     print!("{out}");
     Ok(())
 }
@@ -712,16 +712,16 @@ fn cmd_rewrite(opts: &Options) -> Result<(), String> {
 fn cmd_verify(opts: &Options) -> Result<(), String> {
     let dict_base = dict_stats();
     let (program, sm) = load(&opts.files)?;
-    let compiled = compile(program.clone()).map_err(|e| e.to_string())?;
+    let compiled = compile(program).map_err(|e| e.to_string())?;
     let edb = Database::new();
     let (tel, obs) = opts.telemetry();
     let run = compiled.run_telemetry(&edb, &tel).map_err(|e| e.to_string())?;
-    let ok = verify_stable_model(&program, &edb, &run).map_err(|e| e.to_string())?;
+    let ok = verify_stable_model(compiled.program(), &edb, &run).map_err(|e| e.to_string())?;
     println!(
         "stable model check: {}",
         if ok { "PASS (Theorem 1 holds for this run)" } else { "FAIL" }
     );
-    opts.report(&tel, &obs, &program, &sm, &dict_base)?;
+    opts.report(&tel, &obs, compiled.program(), &sm, &dict_base)?;
     if ok {
         Ok(())
     } else {

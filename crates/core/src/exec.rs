@@ -39,7 +39,7 @@ use gbc_engine::eval::{
     eval_expr, eval_term, instantiate_head, match_term, match_term_id, parent_rows,
 };
 use gbc_engine::extrema::{collect_matches_plan, filter_extrema};
-use gbc_engine::plan::{columnar_feed_spec, FeedCheck, PlanCache, RuleStatics};
+use gbc_engine::plan::{columnar_feed_spec, FeedCheck, HeadPlan, PlanCache, RuleStatics};
 use gbc_engine::pool::{PoolReport, PoolStats};
 use gbc_engine::seminaive::Seminaive;
 use gbc_storage::dictionary::{self, decode_ref};
@@ -139,6 +139,8 @@ pub struct NextPlan {
     rule: Rule,
     expanded: Rule,
     head_pred: Symbol,
+    /// The head compiled for id-space instantiation at commit.
+    head: HeadPlan,
     stage_pos: usize,
     stage_var: VarId,
     source_lit: usize,
@@ -404,6 +406,7 @@ fn build_plan(
         rule: rule.clone(),
         expanded: expanded.clone(),
         head_pred: rule.head.pred,
+        head: HeadPlan::compile(&rule.head),
         stage_pos,
         stage_var,
         source_lit,
@@ -593,6 +596,32 @@ impl NextState {
     }
 }
 
+/// A program's ground facts as dictionary-id rows, grouped by predicate
+/// (in order of first appearance) and, within a predicate, in program
+/// order — the order [`GreedyExecutor::new`] appends them to the EDB.
+pub type FactRows = Vec<(Symbol, Vec<Vec<u32>>)>;
+
+/// Encode `program`'s ground facts. Cells are interned in rule order,
+/// so the ids assigned are those a rule-by-rule load would assign.
+pub fn encode_facts(program: &Program) -> FactRows {
+    let mut out: FactRows = Vec::new();
+    let mut slot: FxHashMap<Symbol, usize> = FxHashMap::default();
+    for r in program.rules.iter().filter(|r| r.is_fact()) {
+        let ids = r
+            .head
+            .args
+            .iter()
+            .map(|t| dictionary::encode(&t.as_value().expect("validated ground fact")))
+            .collect();
+        let i = *slot.entry(r.head.pred).or_insert_with(|| {
+            out.push((r.head.pred, Vec::new()));
+            out.len() - 1
+        });
+        out[i].1.push(ids);
+    }
+    out
+}
+
 /// The executor. Create with [`GreedyExecutor::new`], then [`GreedyExecutor::run`].
 pub struct GreedyExecutor {
     flat: Seminaive,
@@ -622,12 +651,18 @@ impl GreedyExecutor {
     /// [`Rql`] allocated per next-rule plan.
     pub fn new(
         program: &Program,
-        _expanded: &Program,
         plans: Vec<NextPlan>,
+        facts: &FactRows,
         edb: &Database,
         config: GreedyConfig,
     ) -> GreedyExecutor {
         let mut db = edb.clone();
+        for (pred, rows) in facts {
+            let rel = db.relation_mut(*pred);
+            for ids in rows {
+                rel.insert_ids(ids.clone());
+            }
+        }
         // Whole-program analysis (PR 8): dead rules are dropped before
         // partitioning, constant-true comparisons are folded out of the
         // exit plans, and (below, once the EDB is loaded) proved-`int`
@@ -641,16 +676,8 @@ impl GreedyExecutor {
         let mut exit_statics = Vec::new();
         let mut exit_memos = Vec::new();
         for (ri, r) in program.rules.iter().enumerate() {
-            if r.is_fact() {
-                let row = r
-                    .head
-                    .args
-                    .iter()
-                    .map(|t| t.as_value().expect("validated ground fact"))
-                    .collect();
-                db.insert(r.head.pred, row);
-            } else if r.has_next() {
-                // handled by plans
+            if r.is_fact() || r.has_next() {
+                // Facts are loaded above; next rules are handled by plans.
             } else if dead.contains(&ri) {
                 // Provably never fires: no plan, no saturation work.
             } else if r.has_choice() {
@@ -917,7 +944,8 @@ impl GreedyExecutor {
                 arena.record_derivation(rule.head.pred, &head, *ri, &parent_rows(rule, &b));
                 arena.record_commit(*ri, rule.head.pred, &head, pairs.clone());
             }
-            db.insert(rule.head.pred, head);
+            let (ids, _) = plan.head().ids(rule, &b, None)?;
+            db.relation_mut(rule.head.pred).insert_ids(ids);
             for (gi, (l, r)) in pairs.iter().enumerate() {
                 exit_memos[ei][gi].insert(l.clone(), r.clone());
             }
@@ -1055,24 +1083,21 @@ impl GreedyExecutor {
                 self.stats.discarded += 1;
                 continue;
             }
-            let head = instantiate_head(&plan.rule, &b)?;
-            // The next-expansion's choice(W, I): one stage per W. The
-            // projection is interned here (on the coordinator) so the
-            // membership test is an id-row comparison.
+            // The committed head in id space: cells bound by the source
+            // match carry the popped row's ids. The stage cell (bound by
+            // value above) is held back and interned only once the
+            // next-expansion's choice(W, I) — one stage per W — passes,
+            // so the membership test is an id-row comparison.
+            let (mut head, stage_value) = plan.head.ids(&plan.rule, &b, Some(plan.stage_pos))?;
             let w: Vec<u32> = head
                 .iter()
                 .enumerate()
                 .filter(|&(i, _)| i != plan.stage_pos)
-                .map(|(_, v)| dictionary::encode(v))
+                .map(|(_, &id)| id)
                 .collect();
             if ns.w_used.contains(&w) {
                 if let Some(arena) = &prov {
-                    let w_vals: Vec<Value> = head
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| i != plan.stage_pos)
-                        .map(|(_, v)| v.clone())
-                        .collect();
+                    let w_vals: Vec<Value> = w.iter().map(|&id| decode_ref(id).clone()).collect();
                     arena.record_rejection(
                         plan.rule_idx,
                         NO_GOAL,
@@ -1104,6 +1129,11 @@ impl GreedyExecutor {
                 now
             });
             ns.w_used.insert(w);
+            if let Some(v) = stage_value {
+                head[plan.stage_pos] = dictionary::encode(&v);
+            }
+            // Decoded only for the observers that print or record it.
+            let head_row = || -> Row { head.iter().map(|&id| decode_ref(id).clone()).collect() };
             let pairs = eval_goal_pairs(&plan.expanded, &b)?;
             let chosen_args = eval_choice_vars(&plan.expanded, &b)?;
             for (gi, (l, r)) in pairs.iter().take(plan.choice_goals.len()).enumerate() {
@@ -1117,9 +1147,10 @@ impl GreedyExecutor {
                 } else {
                     String::new()
                 },
-                fact: head.to_string(),
+                fact: head_row().to_string(),
             });
             if let Some(arena) = &prov {
+                let head = head_row();
                 arena.advance_step();
                 arena.record_derivation(
                     plan.head_pred,
@@ -1138,7 +1169,7 @@ impl GreedyExecutor {
                 considered: pops,
                 rejected,
             });
-            self.db.insert(ns.plan.head_pred, head);
+            self.db.relation_mut(ns.plan.head_pred).insert_ids(head);
             self.chosen.push(ChosenRecord { rule_idx, pairs, chosen_args });
             self.stats.gamma_steps += 1;
             tel.metrics.gamma_steps.inc();

@@ -56,6 +56,8 @@ pub use exec::{ChosenRecord, GreedyConfig, GreedyRun, GreedyStats};
 pub use rewrite::{rewrite_full, FullRewrite};
 pub use verify::verify_stable_model;
 
+use std::sync::OnceLock;
+
 use gbc_ast::Program;
 use gbc_engine::{ChoiceFixpoint, ChoiceFixpointConfig, DeterministicFirst};
 use gbc_storage::Database;
@@ -71,6 +73,10 @@ pub struct Compiled {
     analysis: Analysis,
     plans: Vec<exec::NextPlan>,
     plan_error: Option<String>,
+    /// The program's ground facts as id rows, encoded on the first
+    /// greedy run (not here, so loading a program pays no interning)
+    /// and appended to the EDB by every run after that as is.
+    facts: OnceLock<exec::FactRows>,
 }
 
 /// Validate, classify and plan `program`.
@@ -87,7 +93,7 @@ pub fn compile(program: Program) -> Result<Compiled, CoreError> {
         }
         other => (Vec::new(), Some(format!("not stage-stratified (class {})", other.summary()))),
     };
-    Ok(Compiled { program, expanded, analysis, plans, plan_error })
+    Ok(Compiled { program, expanded, analysis, plans, plan_error, facts: OnceLock::new() })
 }
 
 impl Compiled {
@@ -155,13 +161,9 @@ impl Compiled {
         if let Some(e) = &self.plan_error {
             return Err(CoreError::NoGreedyPlan { detail: e.clone() });
         }
-        let mut ex = exec::GreedyExecutor::new(
-            &self.program,
-            &self.expanded,
-            self.plans.clone(),
-            edb,
-            config,
-        );
+        let facts = self.facts.get_or_init(|| exec::encode_facts(&self.program));
+        let mut ex =
+            exec::GreedyExecutor::new(&self.program, self.plans.clone(), facts, edb, config);
         ex.set_telemetry(tel.clone());
         tel.phases.time("run", || ex.run())
     }

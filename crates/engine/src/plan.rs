@@ -25,7 +25,7 @@
 //! [`PlanCache`] lazily compiles and retains one `RulePlan` per rule,
 //! counting reuse in the `plan_cache_hits` metric.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use gbc_ast::{Atom, CmpOp, Expr, Literal, Rule, Term, Value, VarId};
@@ -275,13 +275,163 @@ impl JoinPlan {
     }
 }
 
+/// One head cell, classified at plan-compile time.
+#[derive(Clone, Debug)]
+enum HeadCell {
+    /// A variable. Scans bind it together with the id they read, so
+    /// the id is copied; bound by value instead (an `=` assignment's
+    /// arithmetic result), it is a computed cell.
+    Var(VarId),
+    /// A ground term. Interned by the coordinator for the first row
+    /// that needs it, then reused for every later row.
+    Const(Value, OnceLock<u32>),
+    /// A functor term over variables: evaluated per row, a computed
+    /// cell.
+    Term(Term),
+}
+
+/// A rule head compiled for instantiation in id space: a derived row is
+/// built from the ids its match already holds, and only computed cells
+/// (functor terms, arithmetic results, a constant's first use) go
+/// through the dictionary.
+///
+/// Instantiation ([`HeadPlan::instantiate`]) never interns, so pool
+/// workers run it; computed cells travel to the coordinator as values
+/// and are interned there, in row order, by [`HeadPlan::resolve`] —
+/// at the same points, and so with the same ids, as encoding whole
+/// value rows on insert would.
+#[derive(Clone, Debug)]
+pub struct HeadPlan {
+    cells: Vec<HeadCell>,
+}
+
+/// Head rows awaiting insertion: id rows whose computed cells hold
+/// [`DICT_MISS`], plus those cells' values in row-major order.
+#[derive(Debug, Default)]
+pub(crate) struct HeadRows {
+    /// One id row per derived head.
+    pub(crate) rows: Vec<Vec<u32>>,
+    /// The values of every `DICT_MISS` cell in `rows`, in order.
+    pub(crate) computed: Vec<Value>,
+}
+
+impl HeadRows {
+    /// Append `other` after the rows already queued.
+    pub(crate) fn append(&mut self, other: HeadRows) {
+        self.rows.extend(other.rows);
+        self.computed.extend(other.computed);
+    }
+
+    /// Queue a row given as values (every cell computed).
+    pub(crate) fn push_values(&mut self, row: &[Value]) {
+        self.rows.push(vec![DICT_MISS; row.len()]);
+        self.computed.extend_from_slice(row);
+    }
+}
+
+impl HeadPlan {
+    /// Classify every argument of `head`.
+    pub fn compile(head: &Atom) -> HeadPlan {
+        let cells = head
+            .args
+            .iter()
+            .map(|t| match (t, t.as_value()) {
+                (Term::Var(v), _) => HeadCell::Var(*v),
+                (_, Some(v)) => HeadCell::Const(v, OnceLock::new()),
+                (_, None) => HeadCell::Term(t.clone()),
+            })
+            .collect();
+        HeadPlan { cells }
+    }
+
+    /// Queue the head row of `rule` under the complete match `b` on
+    /// `out`: known ids are copied, computed cells are left as
+    /// [`DICT_MISS`] with their values queued. Never interns.
+    pub(crate) fn instantiate(
+        &self,
+        rule: &Rule,
+        b: &Bindings,
+        out: &mut HeadRows,
+    ) -> Result<(), EngineError> {
+        let non_ground = || EngineError::NonGroundHead { rule: rule.to_string() };
+        let mut row = Vec::with_capacity(self.cells.len());
+        for cell in &self.cells {
+            let id = match cell {
+                HeadCell::Var(v) => {
+                    let id = b.id_of(*v);
+                    if id == DICT_MISS {
+                        out.computed.push(b.get(*v).ok_or_else(non_ground)?.clone());
+                    }
+                    id
+                }
+                HeadCell::Const(v, id) => id.get().copied().unwrap_or_else(|| {
+                    out.computed.push(v.clone());
+                    DICT_MISS
+                }),
+                HeadCell::Term(t) => {
+                    out.computed.push(eval_term(t, b).ok_or_else(non_ground)?);
+                    DICT_MISS
+                }
+            };
+            row.push(id);
+        }
+        out.rows.push(row);
+        Ok(())
+    }
+
+    /// [`HeadPlan::instantiate`] and [`HeadPlan::resolve`] for a single
+    /// row, on the coordinator.
+    pub fn ids(
+        &self,
+        rule: &Rule,
+        b: &Bindings,
+        hold: Option<usize>,
+    ) -> Result<(Vec<u32>, Option<Value>), EngineError> {
+        let mut queued = HeadRows::default();
+        self.instantiate(rule, b, &mut queued)?;
+        let mut row = queued.rows.pop().expect("one instantiated row");
+        let held = self.resolve(&mut row, &mut queued.computed.into_iter(), hold);
+        Ok((row, held))
+    }
+
+    /// Intern the computed cells of a queued `row`, taking their values
+    /// from `computed` in cell order. Coordinator only. A computed cell
+    /// at column `hold` is left as [`DICT_MISS`] and its value returned,
+    /// for a caller that must check the rest of the row before that
+    /// cell may be interned.
+    pub(crate) fn resolve(
+        &self,
+        row: &mut [u32],
+        computed: &mut impl Iterator<Item = Value>,
+        hold: Option<usize>,
+    ) -> Option<Value> {
+        let mut held = None;
+        for (col, (slot, cell)) in row.iter_mut().zip(&self.cells).enumerate() {
+            if *slot != DICT_MISS {
+                continue;
+            }
+            let v = computed.next().expect("one queued value per computed cell");
+            if Some(col) == hold {
+                held = Some(v);
+                continue;
+            }
+            *slot = match cell {
+                HeadCell::Const(_, id) => *id.get_or_init(|| dictionary::encode(&v)),
+                _ => dictionary::encode(&v),
+            };
+        }
+        held
+    }
+}
+
 /// The compiled plans of one rule: the unfocused order plus one
 /// variant per positive body literal (the occurrence seminaive deltas
-/// focus on).
+/// focus on), and the head.
 #[derive(Clone, Debug)]
 pub struct RulePlan {
     base: JoinPlan,
     focused: Vec<(usize, JoinPlan)>,
+    head: HeadPlan,
     /// Analysis proved the rule can never fire: matching is a no-op.
     dead: bool,
 }
@@ -299,6 +449,7 @@ impl RulePlan {
             return Ok(RulePlan {
                 base: JoinPlan { steps: Vec::new() },
                 focused: Vec::new(),
+                head: HeadPlan::compile(&rule.head),
                 dead: true,
             });
         }
@@ -309,7 +460,12 @@ impl RulePlan {
                 focused.push((li, JoinPlan::compile_typed(rule, Some(li), statics)?));
             }
         }
-        Ok(RulePlan { base, focused, dead: false })
+        Ok(RulePlan { base, focused, head: HeadPlan::compile(&rule.head), dead: false })
+    }
+
+    /// The compiled head.
+    pub fn head(&self) -> &HeadPlan {
+        &self.head
     }
 
     /// True when analysis proved the rule dead (plan matches nothing).

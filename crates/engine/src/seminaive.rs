@@ -17,17 +17,18 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gbc_ast::{Literal, Rule, Symbol};
+use gbc_storage::dictionary::decode_ref;
 use gbc_storage::{Database, FxHashMap, Row};
 use gbc_telemetry::{Metrics, RuleProfiler, TraceEvent, TraceSink};
 
 use crate::bindings::Bindings;
 use crate::error::EngineError;
-use crate::eval::{instantiate_head, parent_rows, Focus};
+use crate::eval::{parent_rows, Focus};
 use crate::extrema::{
     eval_rule_with_extrema_plan, eval_rule_with_extrema_plan_pooled,
     eval_rule_with_extrema_plan_traced, eval_rule_with_extrema_plan_traced_pooled,
 };
-use crate::plan::{execute_base_chunked, for_each_match_plan, PlanCache, RulePlan};
+use crate::plan::{execute_base_chunked, for_each_match_plan, HeadRows, PlanCache, RulePlan};
 use crate::pool::{FanoutObs, PoolStats, WorkerPool};
 
 /// Rows joined over per derived head row — recorded for provenance.
@@ -217,7 +218,8 @@ impl Seminaive {
                     stats: pool_stats.as_deref(),
                     trace: trace.as_deref().map(|t| (t, rule_id)),
                 };
-                let derived: Vec<Row> = if !evaluated_once[ri] {
+                let head_plan = plan.head();
+                let derived: HeadRows = if !evaluated_once[ri] {
                     evaluated_once[ri] = true;
                     if rule.has_extrema() {
                         let (rows, frames) =
@@ -247,7 +249,7 @@ impl Seminaive {
                     }
                     rows
                 } else {
-                    let mut derived = Vec::new();
+                    let mut derived = HeadRows::default();
                     for (li, lit) in rule.body.iter().enumerate() {
                         let Literal::Pos(a) = lit else { continue };
                         let from = marks.get(&a.pred).copied().unwrap_or(0);
@@ -278,15 +280,16 @@ impl Seminaive {
                             let results = pool.run_stats(ranges.len(), stats, |ci, worker| {
                                 // Saturation workers read the dictionary
                                 // lock-free but must never grow it: head
-                                // rows stay as values and the coordinator
-                                // encodes them at merge time, keeping id
-                                // assignment deterministic across thread
-                                // counts (debug-only guard).
+                                // cells that need interning stay values
+                                // and the coordinator encodes them at
+                                // insert time, keeping id assignment
+                                // deterministic across thread counts
+                                // (debug-only guard).
                                 gbc_storage::dictionary::forbid_intern_on_this_thread(true);
                                 let t0 = prof.and_then(RuleProfiler::lane_start);
                                 let t_chunk = tr.map(|_| Instant::now());
                                 let (lo, hi) = ranges[ci];
-                                let mut out: Vec<Row> = Vec::new();
+                                let mut out = HeadRows::default();
                                 let mut par: ParentSets = Vec::new();
                                 let res = for_each_match_plan(
                                     dbr,
@@ -295,7 +298,7 @@ impl Seminaive {
                                     &plan,
                                     Some(Focus { literal: li, rows: rows.slice(lo, hi) }),
                                     &mut |b| {
-                                        out.push(instantiate_head(rule, b)?);
+                                        head_plan.instantiate(rule, b, &mut out)?;
                                         if want_prov {
                                             par.push(parent_rows(rule, b));
                                         }
@@ -320,7 +323,7 @@ impl Seminaive {
                             let t_merge = stats.map(|_| Instant::now());
                             for r in results {
                                 let (out, par) = r?;
-                                derived.extend(out);
+                                derived.append(out);
                                 parents.extend(par);
                             }
                             if let (Some(st), Some(t0)) = (stats, t_merge) {
@@ -334,7 +337,7 @@ impl Seminaive {
                                 &plan,
                                 Some(Focus { literal: li, rows }),
                                 &mut |b| {
-                                    derived.push(instantiate_head(rule, b)?);
+                                    head_plan.instantiate(rule, b, &mut derived)?;
                                     if want_prov {
                                         parents.push(parent_rows(rule, b));
                                     }
@@ -358,17 +361,19 @@ impl Seminaive {
                     }
                 }
                 let mut inserted: u64 = 0;
-                if let Some(arena) = &prov {
-                    for (i, row) in derived.into_iter().enumerate() {
-                        if db.insert(head, row.clone()) {
-                            inserted += 1;
-                            let par = parents.get(i).map_or(&[][..], Vec::as_slice);
-                            arena.record_derivation(head, &row, rule_id, par);
-                        }
-                    }
-                } else {
-                    for row in derived {
-                        if db.insert(head, row) {
+                if !derived.rows.is_empty() {
+                    let rel = db.relation_mut(head);
+                    let mut computed = derived.computed.into_iter();
+                    for (i, mut ids) in derived.rows.into_iter().enumerate() {
+                        head_plan.resolve(&mut ids, &mut computed, None);
+                        if let Some(arena) = &prov {
+                            let row: Row = ids.iter().map(|&id| decode_ref(id).clone()).collect();
+                            if rel.insert_ids(ids) {
+                                inserted += 1;
+                                let par = parents.get(i).map_or(&[][..], Vec::as_slice);
+                                arena.record_derivation(head, &row, rule_id, par);
+                            }
+                        } else if rel.insert_ids(ids) {
                             inserted += 1;
                         }
                     }
@@ -416,7 +421,8 @@ impl Seminaive {
 }
 
 /// Full (unfocused) evaluation of an extrema rule, fanning the match
-/// collection out over `pool` when it is parallel. Returns the
+/// collection out over `pool` when it is parallel. The filtered rows
+/// come back as values, queued whole for interning. Returns the
 /// surviving binding frames too when `want_frames` (the provenance
 /// path needs them to reconstruct parent rows).
 fn eval_extrema_full(
@@ -426,23 +432,28 @@ fn eval_extrema_full(
     pool: WorkerPool,
     obs: FanoutObs<'_>,
     want_frames: bool,
-) -> Result<(Vec<Row>, Option<Vec<Bindings>>), EngineError> {
-    if want_frames {
+) -> Result<(HeadRows, Option<Vec<Bindings>>), EngineError> {
+    let (rows, frames) = if want_frames {
         let (rows, frames) = if pool.is_parallel() {
             eval_rule_with_extrema_plan_traced_pooled(db, rule, plan, &pool, obs)?
         } else {
             eval_rule_with_extrema_plan_traced(db, rule, plan)?
         };
-        Ok((rows, Some(frames)))
+        (rows, Some(frames))
     } else if pool.is_parallel() {
-        Ok((eval_rule_with_extrema_plan_pooled(db, rule, plan, &pool, obs)?, None))
+        (eval_rule_with_extrema_plan_pooled(db, rule, plan, &pool, obs)?, None)
     } else {
-        Ok((eval_rule_with_extrema_plan(db, rule, plan)?, None))
+        (eval_rule_with_extrema_plan(db, rule, plan)?, None)
+    };
+    let mut out = HeadRows::default();
+    for row in &rows {
+        out.push_values(row);
     }
+    Ok((out, frames))
 }
 
-/// Full (unfocused) first evaluation of a plain rule: derived rows plus
-/// — when `want_prov` — the parent rows per derivation appended to
+/// Full (unfocused) first evaluation of a plain rule: derived head rows
+/// plus — when `want_prov` — the parent rows per derivation appended to
 /// `parents`. Parallel pools fan the base plan's first scan out over
 /// chunks ([`execute_base_chunked`]); the serial pool, and plans with
 /// no scan to split, take the exact serial path.
@@ -454,16 +465,17 @@ fn eval_full(
     obs: FanoutObs<'_>,
     want_prov: bool,
     parents: &mut ParentSets,
-) -> Result<Vec<Row>, EngineError> {
+) -> Result<HeadRows, EngineError> {
+    let head = plan.head();
     if pool.is_parallel() {
-        let chunked = execute_base_chunked::<(Vec<Row>, ParentSets)>(
+        let chunked = execute_base_chunked::<(HeadRows, ParentSets)>(
             db,
             rule,
             plan,
             &pool,
             obs,
             &|b, acc| {
-                acc.0.push(instantiate_head(rule, b)?);
+                head.instantiate(rule, b, &mut acc.0)?;
                 if want_prov {
                     acc.1.push(parent_rows(rule, b));
                 }
@@ -471,17 +483,17 @@ fn eval_full(
             },
         )?;
         if let Some(chunks) = chunked {
-            let mut derived = Vec::new();
+            let mut derived = HeadRows::default();
             for (rows, par) in chunks {
-                derived.extend(rows);
+                derived.append(rows);
                 parents.extend(par);
             }
             return Ok(derived);
         }
     }
-    let mut derived = Vec::new();
+    let mut derived = HeadRows::default();
     for_each_match_plan(db, None, rule, plan, None, &mut |b| {
-        derived.push(instantiate_head(rule, b)?);
+        head.instantiate(rule, b, &mut derived)?;
         if want_prov {
             parents.push(parent_rows(rule, b));
         }

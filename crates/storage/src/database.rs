@@ -1,11 +1,13 @@
 //! The fact store: predicate symbol → relation.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::Arc;
 
 use gbc_ast::{Symbol, Value};
 use gbc_telemetry::Metrics;
 
+use crate::dictionary;
 use crate::provenance::ProvenanceArena;
 use crate::relation::Relation;
 use crate::tuple::Row;
@@ -115,21 +117,75 @@ impl Database {
     }
 
     /// Render the database as sorted ground facts, one per line —
-    /// the canonical form used in golden tests.
+    /// the canonical form used in golden tests and printed by `gbc run`.
+    ///
+    /// Rendered straight from the column arenas: each relation's cells
+    /// are borrowed from the dictionary once ([`dictionary::decode_ref`],
+    /// no clone), its row positions are sorted by those cells column by
+    /// column — the order [`dictionary::cmp_ids`] gives, and the order
+    /// of decoded rows — and every line is written into one buffer.
     pub fn canonical_form(&self) -> String {
-        let mut lines: Vec<String> = Vec::with_capacity(self.total_facts());
+        let size: usize = self
+            .relations
+            .iter()
+            .map(|(p, rel)| rel.len() * (p.as_str().len() + 3 + 4 * rel.arity().unwrap_or(0)))
+            .sum();
+        let mut out = String::with_capacity(size);
         for (p, rel) in &self.relations {
-            let mut rows: Vec<Row> = rel.iter().collect();
-            rows.sort();
-            for r in rows {
-                if r.arity() == 0 {
-                    lines.push(format!("{p}."));
-                } else {
-                    lines.push(format!("{p}{r}."));
+            let rows = rel.rows();
+            let arity = rows.arity();
+            let cells: Vec<&Value> = (0..rows.len())
+                .flat_map(|r| (0..arity).map(move |c| dictionary::decode_ref(rows.cell(r, c))))
+                .collect();
+            let row = |r: usize| &cells[r * arity..(r + 1) * arity];
+            let mut order: Vec<usize> = (0..rows.len()).collect();
+            // Rows are distinct, so an unstable sort is deterministic.
+            order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+            for r in order {
+                if !out.is_empty() {
+                    out.push('\n');
                 }
+                out.push_str(p.as_str());
+                for (c, v) in row(r).iter().enumerate() {
+                    out.push(if c == 0 { '(' } else { ',' });
+                    write_value(&mut out, v);
+                }
+                if arity > 0 {
+                    out.push(')');
+                }
+                out.push('.');
             }
         }
-        lines.join("\n")
+        out
+    }
+}
+
+/// Append `v` exactly as its `Display` renders it, without the
+/// formatting machinery for the common atoms.
+fn write_value(out: &mut String, v: &Value) {
+    match v {
+        Value::Nil => out.push_str("nil"),
+        Value::Int(i) => {
+            let mut digits = [0u8; 20];
+            let mut n = i.unsigned_abs();
+            let mut at = digits.len();
+            loop {
+                at -= 1;
+                digits[at] = b'0' + (n % 10) as u8;
+                n /= 10;
+                if n == 0 {
+                    break;
+                }
+            }
+            if *i < 0 {
+                out.push('-');
+            }
+            out.extend(digits[at..].iter().map(|&d| d as char));
+        }
+        Value::Sym(s) => out.push_str(s.as_str()),
+        Value::Str(_) | Value::Func(..) => {
+            let _ = write!(out, "{v}");
+        }
     }
 }
 
@@ -168,6 +224,47 @@ mod tests {
         db.insert_values("b", vec![Value::int(1)]);
         db.insert_values("a", vec![Value::sym("x")]);
         assert_eq!(db.canonical_form(), "a(x).\nb(1).\nb(2).");
+
+        // Every value shape, inserted out of order: `nil` and negative
+        // ints, symbols interned in reverse lexicographic order, a
+        // string needing escapes, a nested functor; ties on the first
+        // column fall through to the second; a zero-arity relation
+        // renders bare and an empty one renders nothing.
+        db.insert_values(
+            "m",
+            vec![Value::func(
+                "t",
+                vec![Value::func("t", vec![Value::int(1), Value::sym("a")]), Value::Nil],
+            )],
+        );
+        db.insert_values("m", vec![Value::str("a\"b\\c\nd")]);
+        db.insert_values("m", vec![Value::sym("zz_canonical_probe")]);
+        db.insert_values("m", vec![Value::sym("aa_canonical_probe")]);
+        db.insert_values("m", vec![Value::int(2)]);
+        db.insert_values("m", vec![Value::int(-3)]);
+        db.insert_values("m", vec![Value::Nil]);
+        db.insert_values("p", vec![Value::int(1), Value::sym("zz_canonical_probe")]);
+        db.insert_values("p", vec![Value::int(1), Value::sym("aa_canonical_probe")]);
+        db.insert_values("p", vec![Value::int(-1), Value::sym("zz_canonical_probe")]);
+        db.insert_values("done", vec![]);
+        db.relation_mut(Symbol::intern("empty"));
+        assert_eq!(
+            db.canonical_form(),
+            r#"a(x).
+b(1).
+b(2).
+done.
+m(nil).
+m(-3).
+m(2).
+m(aa_canonical_probe).
+m(zz_canonical_probe).
+m("a\"b\\c\nd").
+m(t(t(1,a),nil)).
+p(-1,zz_canonical_probe).
+p(1,aa_canonical_probe).
+p(1,zz_canonical_probe)."#
+        );
     }
 
     #[test]

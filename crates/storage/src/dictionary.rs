@@ -5,10 +5,10 @@
 //! Design (DESIGN.md §11):
 //!
 //! - **Global, append-only.** Ids are assigned once, in first-intern
-//!   order, and never recycled. The id → value side is a chunked
-//!   array of `OnceLock` slots (geometrically sized chunks, so lookup
-//!   is two shifts and two indexed loads), which makes [`decode_ref`]
-//!   lock-free: readers never contend with writers.
+//!   order, and never recycled. The id → value side is a
+//!   [`gbc_ast::slots::Slots`] array (the one the symbol interner
+//!   uses too), which makes [`decode_ref`] lock-free: readers never
+//!   contend with writers.
 //! - **Deterministic assignment.** All interning happens at
 //!   single-threaded points — EDB load, plan compilation, and the
 //!   coordinator's merge loops — never inside pool workers, so the id
@@ -35,6 +35,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 
+use gbc_ast::slots::Slots;
 use gbc_ast::{Symbol, Value};
 
 use crate::fx::FxBuildHasher;
@@ -53,53 +54,7 @@ struct Entry {
     func_args: Option<Box<[u32]>>,
 }
 
-/// Chunked id → entry storage: chunk `c` holds `BASE << c` slots, so
-/// 21 chunks cover the full u32 range while keeping early lookups in
-/// one small always-hot array.
-const BASE: u32 = 4096;
-const NUM_CHUNKS: usize = 21;
-
-struct Slots {
-    chunks: [OnceLock<Box<[OnceLock<&'static Entry>]>>; NUM_CHUNKS],
-}
-
-impl Slots {
-    const fn new() -> Slots {
-        // OnceLock::new() is const, but array-of-const-init needs the
-        // inline-const repeat form.
-        Slots { chunks: [const { OnceLock::new() }; NUM_CHUNKS] }
-    }
-
-    /// (chunk index, offset within chunk) for an id.
-    fn locate(id: u32) -> (usize, usize) {
-        let k = (id / BASE) + 1;
-        let c = (31 - k.leading_zeros()) as usize;
-        let start = (BASE as u64) * ((1u64 << c) - 1);
-        (c, (id as u64 - start) as usize)
-    }
-
-    fn chunk(&self, c: usize) -> &[OnceLock<&'static Entry>] {
-        self.chunks[c].get_or_init(|| {
-            let len = (BASE as usize) << c;
-            let mut v = Vec::with_capacity(len);
-            v.resize_with(len, OnceLock::new);
-            v.into_boxed_slice()
-        })
-    }
-
-    fn get(&self, id: u32) -> Option<&'static Entry> {
-        let (c, off) = Slots::locate(id);
-        // A never-initialised chunk means the id was never assigned.
-        self.chunks[c].get().and_then(|ch| ch[off].get().copied())
-    }
-
-    fn set(&self, id: u32, entry: &'static Entry) {
-        let (c, off) = Slots::locate(id);
-        self.chunk(c)[off].set(entry).unwrap_or_else(|_| panic!("dictionary id {id} set twice"));
-    }
-}
-
-static SLOTS: Slots = Slots::new();
+static SLOTS: Slots<&'static Entry> = Slots::new();
 
 /// value → id map. Keys borrow the leaked entry's `Value`, so probes
 /// take `&Value` without cloning (`Borrow<Value> for &'static Value`).
@@ -236,7 +191,7 @@ pub fn decode(id: u32) -> Value {
 /// Functor destructuring in id space: `Some((name, arg_ids))` when
 /// `id` is a `Func`, `None` otherwise.
 pub fn func_parts(id: u32) -> Option<(Symbol, &'static [u32])> {
-    let entry = SLOTS.get(id)?;
+    let entry = *SLOTS.get(id)?;
     match (&entry.value, &entry.func_args) {
         (Value::Func(name, _), Some(args)) => Some((*name, args)),
         _ => None,
@@ -481,14 +436,5 @@ mod tests {
         assert!(delta.dict_entries >= 1);
         assert!(delta.encode_hits >= 2);
         assert!(delta.decode_calls >= 1);
-    }
-
-    #[test]
-    fn chunk_locate_covers_boundaries() {
-        for id in [0, 1, BASE - 1, BASE, 3 * BASE - 1, 3 * BASE, 7 * BASE - 1, 1_000_000] {
-            let (c, off) = Slots::locate(id);
-            assert!(c < NUM_CHUNKS);
-            assert!(off < (BASE as usize) << c, "id {id} → chunk {c} off {off}");
-        }
     }
 }

@@ -120,7 +120,7 @@ impl Json {
                 for (i, (k, v)) in fields.iter().enumerate() {
                     out.push_str(if i == 0 { "\n" } else { ",\n" });
                     out.push_str(&"  ".repeat(indent + 1));
-                    write_escaped(out, k);
+                    let _ = write_escaped(out, k);
                     out.push_str(": ");
                     v.write_pretty(out, indent + 1);
                 }
@@ -370,20 +370,32 @@ impl Parser<'_> {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Write `s` as a JSON string literal. Runs of characters that need no
+/// escaping are copied with one `write_str` each; every byte that does
+/// need one is ASCII, so the run boundaries are char boundaries.
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if esc.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(esc)?;
         }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 impl fmt::Display for Json {
@@ -403,11 +415,7 @@ impl fmt::Display for Json {
                 }
             }
             Json::Float(_) => f.write_str("null"),
-            Json::Str(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                write_escaped(&mut buf, s);
-                f.write_str(&buf)
-            }
+            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -424,9 +432,8 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    let mut key = String::with_capacity(k.len() + 2);
-                    write_escaped(&mut key, k);
-                    write!(f, "{key}:{v}")?;
+                    write_escaped(f, k)?;
+                    write!(f, ":{v}")?;
                 }
                 f.write_str("}")
             }
@@ -455,6 +462,17 @@ mod tests {
             Json::Str("a\"b\\c\nd\te\u{1}".into()).to_string(),
             "\"a\\\"b\\\\c\\nd\\te\\u0001\""
         );
+    }
+
+    #[test]
+    fn escaping_keeps_multibyte_runs_intact() {
+        let s = "é→\"γ\u{1f}ü";
+        let text = Json::Str(s.into()).to_string();
+        assert_eq!(text, "\"é→\\\"γ\\u001fü\"");
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.into()));
+        let mut pretty = Json::obj(vec![(s, Json::Null)]).pretty();
+        pretty.retain(|c| c != '\n' && c != ' ');
+        assert_eq!(pretty, format!("{{{text}:null}}"));
     }
 
     #[test]

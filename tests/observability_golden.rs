@@ -331,3 +331,36 @@ fn observability_is_deterministic_across_runs() {
     assert_eq!(traces[0], traces[1], "trace must be byte-identical");
     assert!(traces[0].contains("γ stage"), "trace shows stage commits");
 }
+
+/// `gbc run FILE...`'s stdout for shipped programs: parse the files as
+/// one source, compile, run on an empty EDB, print the canonical form.
+fn shipped_run_output(files: &[&str]) -> String {
+    let root = goldens_dir().parent().unwrap().parent().unwrap().to_path_buf();
+    let mut sm = SourceMap::new();
+    for f in files {
+        let text = fs::read_to_string(root.join(f)).expect("shipped program");
+        sm.add_file(f, &text);
+    }
+    let program = gbc_parser::parse_program(&sm.source()).unwrap();
+    let compiled = gbc_core::compile(program).unwrap();
+    let run = compiled.run_telemetry(&Database::new(), &Telemetry::enabled()).unwrap();
+    format!("{}\n", run.db.canonical_form())
+}
+
+/// Huffman (Example 6): functor-valued cells (`t(X, Y)`), a constant
+/// head cell (`h(X, C, 0)`) and arithmetic head cells (`I = J + 1`,
+/// `C = C1 + C2`), all rendered through the decode boundary.
+#[test]
+fn huffman_run_output_is_golden() {
+    compare_or_bless("huffman_run.golden", &shipped_run_output(&["programs/huffman.dl"]));
+}
+
+/// Prim (Example 4) over the shipped small graph, co-loaded from two
+/// files as `gbc run programs/prim.dl programs/graph_small.dl` does.
+#[test]
+fn prim_run_output_is_golden() {
+    compare_or_bless(
+        "prim_run.golden",
+        &shipped_run_output(&["programs/prim.dl", "programs/graph_small.dl"]),
+    );
+}
