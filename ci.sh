@@ -219,7 +219,14 @@ grep -q '"label": "post-PR13"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR13 run" >&2
     exit 1
 }
-for col in dict_entries encode_hits decode_calls heap_batch_pushes; do
+# And the record of the id-space γ step (FD memos and the chosen log
+# in id space, commit-owned head mark, no empty feed scans), which
+# introduced the telemetry_ns column (the run under full observation).
+grep -q '"label": "post-PR14"' BENCH_experiments.json || {
+    echo "BENCH_experiments.json is missing the committed post-PR14 run" >&2
+    exit 1
+}
+for col in dict_entries encode_hits decode_calls heap_batch_pushes telemetry_ns; do
     grep -q "\"$col\"" BENCH_experiments.json || {
         echo "BENCH_experiments.json rows lack column: $col" >&2
         exit 1

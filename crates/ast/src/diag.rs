@@ -16,6 +16,7 @@
 //! | GBC004 | error    | fact with a non-ground head |
 //! | GBC005 | error    | `next(I)` stage variable missing from the rule head |
 //! | GBC006 | error    | more than one `next` goal in a rule |
+//! | GBC007 | error    | term or expression nested deeper than 128 levels |
 //! | GBC010 | error    | negation/extrema through recursion (unstratified) |
 //! | GBC011 | warning  | predicate inferred with conflicting stage positions |
 //! | GBC012 | warning  | stage-clique predicate has no stage argument |

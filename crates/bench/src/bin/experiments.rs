@@ -65,7 +65,7 @@ use gbc_baselines::total_cost;
 use gbc_baselines::tsp::{greedy_chain, is_hamiltonian_path, nearest_neighbour};
 use gbc_bench::{fit_exponent, render_table, serve_load_tcp, standard_tenants, Harness, Sample};
 use gbc_greedy::{huffman, kruskal, matching, prim, sorting, spanning, student, tsp, workload};
-use gbc_telemetry::Json;
+use gbc_telemetry::{Json, Telemetry};
 
 /// Print the full usage text plus `err` and exit 2 — every malformed
 /// flag lands here instead of a panic backtrace.
@@ -249,6 +249,28 @@ fn ns(secs: f64) -> Json {
     Json::UInt((secs * 1e9).round() as u64)
 }
 
+/// Median seconds of the greedy run under full observation — phase
+/// timers and per-round latency, what `gbc serve`'s `/run` and `gbc run
+/// --stats-json` pay — to set beside `decl_ns`, which runs with
+/// counters only.
+fn time_observed(
+    h: &Harness,
+    compiled: &gbc_core::Compiled,
+    edb: &gbc_storage::Database,
+    config: gbc_core::GreedyConfig,
+) -> f64 {
+    let (_, t) = h.run(|| {
+        let tel = Telemetry::enabled().with_round_latency();
+        compiled.run_greedy_telemetry(edb, config, &tel).unwrap()
+    });
+    t.median_secs
+}
+
+/// The observed run's extra time over the counters-only one, in percent.
+fn telemetry_cost(observed: f64, counters_only: f64) -> String {
+    format!("{:+.1}%", 100.0 * (observed / counters_only.max(1e-12) - 1.0))
+}
+
 /// Runs `f` once and returns the dictionary-counter movement it caused.
 /// The dictionary is process-global, so callers must already have
 /// interned the workload's values (the timed repetitions before this
@@ -379,6 +401,7 @@ fn e1_prim(quick: bool, threads: &[usize], rec: &mut Recorder) {
         for &t in threads {
             let config = gbc_core::GreedyConfig::with_threads(t);
             let (run, t_decl) = h.run(|| compiled.run_greedy_with(&edb, config).unwrap());
+            let t_tel = time_observed(&h, &compiled, &edb, config);
             let decl_edges = prim::decode(&run);
             assert_eq!(total_cost(&decl_edges), total_cost(&base), "MST costs must agree");
             // Determinism contract (DESIGN.md §9): every thread count
@@ -409,6 +432,7 @@ fn e1_prim(quick: bool, threads: &[usize], rec: &mut Recorder) {
                     ("e", Json::UInt(e as u64)),
                     ("threads", Json::UInt(t as u64)),
                     ("decl_ns", ns(t_decl.median_secs)),
+                    ("telemetry_ns", ns(t_tel)),
                     ("classical_ns", ns(t_base.median_secs)),
                     ("mst_cost", Json::Int(total_cost(&decl_edges))),
                     ("heap_ops", Json::UInt(heap_ops)),
@@ -430,6 +454,7 @@ fn e1_prim(quick: bool, threads: &[usize], rec: &mut Recorder) {
                 e.to_string(),
                 t.to_string(),
                 secs(t_decl.median_secs),
+                telemetry_cost(t_tel, t_decl.median_secs),
                 secs(t_base.median_secs),
                 format!("{:.1}", t_decl.median_secs / t_base.median_secs.max(1e-9)),
                 total_cost(&decl_edges).to_string(),
@@ -450,6 +475,7 @@ fn e1_prim(quick: bool, threads: &[usize], rec: &mut Recorder) {
                 "e",
                 "thr",
                 "decl_s",
+                "tel_cost",
                 "classical_s",
                 "ratio",
                 "mst_cost",
@@ -495,6 +521,7 @@ fn e2_sort(quick: bool, threads: &[usize], rec: &mut Recorder) {
         for &t in threads {
             let config = gbc_core::GreedyConfig::with_threads(t);
             let (run, t_decl) = h.run(|| compiled.run_greedy_with(&edb, config).unwrap());
+            let t_tel = time_observed(&h, &compiled, &edb, config);
             assert_eq!(run.stats.gamma_steps as usize, n);
             match &serial_snapshot {
                 None => serial_snapshot = Some(run.snapshot.clone()),
@@ -514,6 +541,7 @@ fn e2_sort(quick: bool, threads: &[usize], rec: &mut Recorder) {
                     ("n", Json::UInt(n as u64)),
                     ("threads", Json::UInt(t as u64)),
                     ("decl_ns", ns(t_decl.median_secs)),
+                    ("telemetry_ns", ns(t_tel)),
                     ("heapsort_ns", ns(t_heap.median_secs)),
                     ("insertion_ns", ns(t_ins.median_secs)),
                     ("heap_ops", Json::UInt(run.snapshot.heap_ops())),
@@ -532,6 +560,7 @@ fn e2_sort(quick: bool, threads: &[usize], rec: &mut Recorder) {
                 n.to_string(),
                 t.to_string(),
                 secs(t_decl.median_secs),
+                telemetry_cost(t_tel, t_decl.median_secs),
                 secs(t_heap.median_secs),
                 secs(t_ins.median_secs),
                 run.snapshot.heap_ops().to_string(),
@@ -549,6 +578,7 @@ fn e2_sort(quick: bool, threads: &[usize], rec: &mut Recorder) {
                 "n",
                 "thr",
                 "decl_s",
+                "tel_cost",
                 "heapsort_s",
                 "insertion_s",
                 "heap_ops",

@@ -30,8 +30,9 @@
 //! sorting, every source fact is its own class — the behaviour the
 //! paper's sorting analysis describes).
 
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gbc_ast::{CmpOp, Literal, Program, Rule, Symbol, Term, Value, VarId};
 use gbc_engine::bindings::Bindings;
@@ -94,11 +95,87 @@ impl GreedyConfig {
 pub struct ChosenRecord {
     /// Index of the firing rule in the original (and expanded) program.
     pub rule_idx: usize,
-    /// Per choice goal of the *expanded* rule: the committed (L, R)
-    /// value pair.
-    pub pairs: Vec<(Vec<Value>, Vec<Value>)>,
     /// The expanded rule's choice variables, evaluated.
     pub chosen_args: Vec<Value>,
+}
+
+impl ChosenRecord {
+    /// The committed (L, R) value pair of every choice goal of `rule`
+    /// — the *expanded* rule that fired — derived from the chosen
+    /// arguments: every goal term is built from choice variables alone.
+    pub fn pairs(&self, rule: &Rule) -> Result<Vec<GoalPair>, CoreError> {
+        let mut b = Bindings::new(rule.num_vars());
+        for (v, val) in choice_vars(rule).into_iter().zip(&self.chosen_args) {
+            b.bind(v, val.clone());
+        }
+        eval_goal_pairs(rule, &b)
+    }
+}
+
+/// The committed choices of a run, in firing order. The greedy
+/// executor logs a next rule's commit as the dictionary ids of the
+/// expanded rule's choice variables; values are decoded only when the
+/// log is read ([`ChosenLog::records`]). Exit rules and the generic
+/// Choice Fixpoint log values.
+#[derive(Clone, Debug, Default)]
+pub struct ChosenLog {
+    entries: Vec<(usize, ChosenArgs)>,
+    /// The id tuples of [`ChosenArgs::Ids`] entries, back to back.
+    ids: Vec<u32>,
+}
+
+#[derive(Clone, Debug)]
+enum ChosenArgs {
+    Ids(Range<usize>),
+    Values(Vec<Value>),
+}
+
+impl ChosenLog {
+    /// Log a commit of `rule_idx` by the ids of its chosen arguments.
+    pub fn push_ids(&mut self, rule_idx: usize, ids: impl IntoIterator<Item = u32>) {
+        let start = self.ids.len();
+        self.ids.extend(ids);
+        self.entries.push((rule_idx, ChosenArgs::Ids(start..self.ids.len())));
+    }
+
+    /// Log a commit of `rule_idx` by its chosen argument values.
+    pub fn push_values(&mut self, rule_idx: usize, args: Vec<Value>) {
+        self.entries.push((rule_idx, ChosenArgs::Values(args)));
+    }
+
+    /// Number of commits logged.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// No commit logged.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Remove and return the last commit.
+    pub fn pop(&mut self) -> Option<ChosenRecord> {
+        let record = self.decode(self.entries.last()?);
+        if let Some((_, ChosenArgs::Ids(range))) = self.entries.pop() {
+            self.ids.truncate(range.start);
+        }
+        Some(record)
+    }
+
+    /// The decoded records, in firing order.
+    pub fn records(&self) -> Vec<ChosenRecord> {
+        self.entries.iter().map(|e| self.decode(e)).collect()
+    }
+
+    fn decode(&self, (rule_idx, args): &(usize, ChosenArgs)) -> ChosenRecord {
+        let chosen_args = match args {
+            ChosenArgs::Ids(range) => {
+                self.ids[range.clone()].iter().map(|&id| decode_ref(id).clone()).collect()
+            }
+            ChosenArgs::Values(args) => args.clone(),
+        };
+        ChosenRecord { rule_idx: *rule_idx, chosen_args }
+    }
 }
 
 /// Executor statistics (exposed for the benchmark harness and tests).
@@ -120,7 +197,7 @@ pub struct GreedyRun {
     /// The computed choice model (EDB + all derived facts).
     pub db: Database,
     /// The committed choices, in firing order.
-    pub chosen: Vec<ChosenRecord>,
+    pub chosen: ChosenLog,
     /// Counters.
     pub stats: GreedyStats,
     /// The full telemetry counter snapshot of the run.
@@ -161,6 +238,13 @@ pub struct NextPlan {
     post_checks: Vec<Literal>,
     /// The original rule's choice goals.
     choice_goals: Vec<(Vec<Term>, Vec<Term>)>,
+    /// Per choice goal: the variables of `L` and of `R`, in first-
+    /// occurrence order. Herbrand constructors are injective, so two
+    /// bindings give equal goal tuples exactly when they give equal
+    /// variable tuples — the FD memos key on these id rows.
+    goal_vars: Vec<(Vec<VarId>, Vec<VarId>)>,
+    /// The expanded rule's choice variables: the `chosen_i` tuple.
+    chosen_vars: Vec<VarId>,
     /// The feed can skip per-row `Bindings` entirely: every source
     /// argument is a bare variable, a repeat of one, or ground, and
     /// every pre-check compares source columns and constants — so each
@@ -417,13 +501,30 @@ fn build_plan(
         cong_cols: key,
         pre_checks,
         post_checks,
+        goal_vars: choice_goals.iter().map(|(l, r)| (tuple_vars(l), tuple_vars(r))).collect(),
         choice_goals,
+        chosen_vars: choice_vars(expanded),
         fast_feed,
         feed_checks,
     })
 }
 
+/// The variables of a goal side, in first-occurrence order.
+fn tuple_vars(terms: &[Term]) -> Vec<VarId> {
+    let mut out: Vec<VarId> = Vec::new();
+    for v in terms.iter().flat_map(Term::vars) {
+        if !out.contains(&v) {
+            out.push(v);
+        }
+    }
+    out
+}
+
 type FdMap = FxHashMap<Vec<Value>, Vec<Value>>;
+
+/// A next rule's FD memo for one choice goal: the id row of `vars(L)`
+/// to the id row of `vars(R)` ([`NextPlan::goal_vars`]).
+type IdFdMap = FxHashMap<Vec<u32>, Vec<u32>>;
 
 struct NextState {
     plan: NextPlan,
@@ -434,8 +535,8 @@ struct NextState {
     head_mark: usize,
     /// Current maximum stage.
     stage: i64,
-    /// FD memo per original choice goal.
-    memos: Vec<FdMap>,
+    /// FD memo per original choice goal, in id space.
+    memos: Vec<IdFdMap>,
     /// The `choice(W, I)` FD of the next-expansion: each non-stage head
     /// tuple `W` is committed at exactly one stage. Without this check
     /// a chain-mode program can re-commit the same tuple at every new
@@ -639,7 +740,7 @@ pub struct GreedyExecutor {
     exit_stale: Vec<Option<usize>>,
     db: Database,
     config: GreedyConfig,
-    chosen: Vec<ChosenRecord>,
+    chosen: ChosenLog,
     stats: GreedyStats,
     tel: Telemetry,
     /// Flat-saturation pool occupancy, allocated only for parallel runs.
@@ -722,7 +823,7 @@ impl GreedyExecutor {
                     src_mark: 0,
                     head_mark: 0,
                     stage: i64::MIN,
-                    memos: vec![FdMap::default(); goals],
+                    memos: vec![IdFdMap::default(); goals],
                     w_used: FxHashSet::default(),
                 }
             })
@@ -744,7 +845,7 @@ impl GreedyExecutor {
             exit_stale,
             db,
             config,
-            chosen: Vec::new(),
+            chosen: ChosenLog::default(),
             stats: GreedyStats::default(),
             tel: Telemetry::default(),
             pool_stats,
@@ -776,6 +877,16 @@ impl GreedyExecutor {
     /// Run to fixpoint.
     pub fn run(mut self) -> Result<GreedyRun, CoreError> {
         let tel = self.tel.clone();
+        let mut timers = RunTimers::default();
+        let out = self.run_loop(&tel, &mut timers);
+        timers.flush(&tel);
+        out?;
+        let snapshot = self.tel.metrics.snapshot();
+        let pool = self.pool_stats.as_ref().map(|s| s.report());
+        Ok(GreedyRun { db: self.db, chosen: self.chosen, stats: self.stats, snapshot, pool })
+    }
+
+    fn run_loop(&mut self, tel: &Telemetry, timers: &mut RunTimers) -> Result<(), CoreError> {
         // Phase and profiler accounting use *chained* timestamps: each
         // boundary reads the clock once and every interval between two
         // boundaries is charged somewhere — to a phase and, for the
@@ -784,72 +895,70 @@ impl GreedyExecutor {
         // keeps the attribution gap — time the instrumentation itself
         // cannot see — to the one accumulator update per boundary,
         // which is what lets `--profile` account for nearly all of the
-        // run's wall time.
-        let clocked = tel.phases.is_enabled() || tel.profiler.is_enabled();
-        // Per-round latency, recorded only when the handle asked for it
-        // (`--stats-json`). A "round" is one full trip around this loop:
-        // saturation plus the γ (or exit) decision it enables.
-        let rounds_on = tel.rounds.is_some();
+        // run's wall time. A round — one full trip around this loop:
+        // saturation plus the γ (or exit) decision it enables — starts
+        // at the boundary that ended the previous one.
+        let timed = tel.phases.is_enabled();
+        let clocked = timed || tel.rounds.is_some() || tel.profiler.is_enabled();
         let mut flat_round: u64 = 0;
         let mut t_prev = clocked.then(Instant::now);
         loop {
-            let t_round = rounds_on.then(Instant::now);
-            let t_flat = lap(&tel, &mut t_prev);
+            let t_round = t_prev;
             let new_facts = self.flat.saturate(&mut self.db)?;
             // Saturation charged its rules and overhead on its own chain.
             t_prev = t_prev.map(|_| Instant::now());
-            if let (Some(t0), Some(t)) = (t_flat, t_prev) {
-                tel.phases.add("run/flat", t - t0);
-            }
+            let t_exit = t_prev;
+            timers.span(FLAT, t_round, t_exit);
             self.stats.flat_new_facts += new_facts;
             flat_round += 1;
             tel.trace_with(|| TraceEvent::FlatRound { round: flat_round, new_facts });
-            let t_exit = lap(&tel, &mut t_prev);
             let exited = self.fire_exit_rule(&mut t_prev)?;
-            let t_feed = lap(&tel, &mut t_prev);
-            if let (Some(t0), Some(t)) = (t_exit, t_feed) {
-                tel.phases.add("run/exit", t - t0);
-            }
+            let t_feed = lap(tel, &mut t_prev);
+            timers.span(EXIT, t_exit, t_feed);
             if exited {
-                if let Some(t0) = t_round {
-                    tel.record_round_nanos(t0.elapsed().as_nanos() as u64);
-                }
+                timers.round(t_round, t_feed);
                 continue;
             }
             self.feed_all(&mut t_prev)?;
-            let t_choose = lap(&tel, &mut t_prev);
-            if let (Some(t0), Some(t)) = (t_feed, t_choose) {
-                // The γ phase splits into feed/choose/commit buckets;
-                // the parent accumulates the same boundary intervals so
-                // it is first-used before any child and owns the loop
-                // overhead the children don't see.
-                tel.phases.add("run/gamma", t - t0);
-                tel.phases.add("run/gamma/feed", t - t0);
-            }
-            let mut fired = false;
+            let t_choose = lap(tel, &mut t_prev);
+            // The γ phase splits into feed/choose/commit buckets; the
+            // parent accumulates the same boundary intervals so it is
+            // first-used before any child and owns the loop overhead
+            // the children don't see.
+            timers.span(GAMMA, t_feed, t_choose);
+            timers.span(FEED, t_feed, t_choose);
+            // Everything up to a commit decision is "choose" (pops,
+            // re-checks, FD tests, discards), one interval per rule that
+            // had a stage to try; the committed candidate's bookkeeping
+            // is "commit".
+            let mut tried: u64 = 0;
+            let mut committed = None;
             for i in 0..self.nexts.len() {
-                if self.fire_next_rule(i, &mut t_prev)? {
-                    fired = true;
-                    break;
+                match self.fire_next_rule(i, &mut t_prev, timed)? {
+                    Fire::Idle => {}
+                    Fire::Exhausted => tried += 1,
+                    Fire::Committed(t_commit) => {
+                        tried += 1;
+                        committed = Some(t_commit);
+                        break;
+                    }
                 }
             }
-            let t_end = lap(&tel, &mut t_prev);
-            if let (Some(t0), Some(t)) = (t_choose, t_end) {
-                tel.phases.add("run/gamma", t - t0);
+            let t_end = lap(tel, &mut t_prev);
+            timers.span(GAMMA, t_choose, t_end);
+            let t_decided = committed.flatten().or(t_end);
+            timers.spans(CHOOSE, t_choose, t_decided, tried);
+            if committed.is_some() {
+                timers.span(COMMIT, t_decided, t_end);
             }
-            if let Some(t0) = t_round {
-                tel.record_round_nanos(t0.elapsed().as_nanos() as u64);
-            }
-            if !fired {
-                break;
+            timers.round(t_round, t_end);
+            if committed.is_none() {
+                return Ok(());
             }
             if self.stats.gamma_steps >= self.config.max_steps {
                 return Err(CoreError::StepLimit { steps: self.stats.gamma_steps });
             }
         }
-        let snapshot = self.tel.metrics.snapshot();
-        let pool = self.pool_stats.as_ref().map(|s| s.report());
-        Ok(GreedyRun { db: self.db, chosen: self.chosen, stats: self.stats, snapshot, pool })
     }
 
     /// Fire one exit choice rule instance, generic-candidate style.
@@ -949,7 +1058,7 @@ impl GreedyExecutor {
             for (gi, (l, r)) in pairs.iter().enumerate() {
                 exit_memos[ei][gi].insert(l.clone(), r.clone());
             }
-            chosen.push(ChosenRecord { rule_idx: *ri, pairs, chosen_args: args });
+            chosen.push_values(*ri, args);
             stats.gamma_steps += 1;
             tel.metrics.gamma_steps.inc();
             charge(tel, t_prev, *ri, 1);
@@ -962,39 +1071,51 @@ impl GreedyExecutor {
     /// chained clock from `t_prev`, the run loop's last boundary: with
     /// the profiler on, one clock read per rule, each interval charged
     /// to the rule it ends, so the whole feed phase is attributed.
+    ///
+    /// A rule whose source and head relations have not grown since its
+    /// marks is skipped: its batch would be empty (a γ commit advances
+    /// the head mark past its own row, see [`Self::fire_next_rule`]),
+    /// so the scan, the W re-hash and the empty `Q_r` push would change
+    /// nothing.
     fn feed_all(&mut self, t_prev: &mut Option<Instant>) -> Result<(), CoreError> {
         // Interned once per feed phase, not per rule: `encode_hits` is
         // a pinned dictionary counter.
         let nil_cost = dictionary::encode(&Value::Nil);
         for i in 0..self.nexts.len() {
             let ns = &self.nexts[i];
-            let batch = if ns.plan.fast_feed {
-                collect_feed(ns, &self.db, nil_cost)?
-            } else {
-                collect_feed_frames(ns, &self.db, nil_cost)?
-            };
-            let ns = &mut self.nexts[i];
-            ns.apply_feed(batch);
-            self.stats.queue_peak = self.stats.queue_peak.max(ns.rql.queue_len());
-            charge(&self.tel, t_prev, ns.plan.rule_idx, 0);
+            let grown = self.db.count(ns.plan.source_pred) != ns.src_mark
+                || self.db.count(ns.plan.head_pred) != ns.head_mark;
+            if grown {
+                let batch = if ns.plan.fast_feed {
+                    collect_feed(ns, &self.db, nil_cost)?
+                } else {
+                    collect_feed_frames(ns, &self.db, nil_cost)?
+                };
+                let ns = &mut self.nexts[i];
+                ns.apply_feed(batch);
+                self.stats.queue_peak = self.stats.queue_peak.max(ns.rql.queue_len());
+            }
+            charge(&self.tel, t_prev, self.nexts[i].plan.rule_idx, 0);
         }
         Ok(())
     }
 
     /// γ for next rule `i`: pop candidates until one passes every check.
+    /// `timed` asks for the clock read that ends the choose interval of
+    /// a commit.
     fn fire_next_rule(
         &mut self,
         i: usize,
         t_prev: &mut Option<Instant>,
-    ) -> Result<bool, CoreError> {
-        let tel = self.tel.clone();
-        let prov = self.db.provenance().cloned();
-        // Split the borrow: take what we need out of `self.nexts[i]`.
-        let ns = &mut self.nexts[i];
+        timed: bool,
+    ) -> Result<Fire, CoreError> {
+        let GreedyExecutor { nexts, db, tel, chosen, stats, .. } = self;
+        let prov = db.provenance().cloned();
+        let ns = &mut nexts[i];
         if ns.stage == i64::MIN {
             // No committed stage yet (exit facts absent): nothing to do.
             if ns.rql.is_queue_empty() {
-                return Ok(false);
+                return Ok(Fire::Idle);
             }
             return Err(CoreError::NoGreedyPlan {
                 detail: format!(
@@ -1004,16 +1125,13 @@ impl GreedyExecutor {
             });
         }
         let next_stage = ns.stage.checked_add(1).ok_or(CoreError::StepLimit { steps: u64::MAX })?;
-        // γ bucket accounting: everything up to a commit decision is
-        // "choose" (pops, re-checks, FD tests, discards); the committed
-        // candidate's bookkeeping is "commit". Both nest under the
-        // `run/gamma` parent charged by the run loop.
-        let t_phase = tel.phases.is_enabled().then(Instant::now);
 
         // One scratch frame for the whole retrieve-least loop: the trail
         // rewinds it between pops instead of reallocating per candidate.
         let mut b = Bindings::new(ns.plan.rule.num_vars());
         let mut trail: Vec<VarId> = Vec::new();
+        // Scratch id row for the FD memo probes.
+        let mut key: Vec<u32> = Vec::new();
         let mut pops: u64 = 0;
         let mut rejected: u64 = 0;
         while let Some(popped) = ns.rql.pop_least() {
@@ -1035,11 +1153,13 @@ impl GreedyExecutor {
 
             let stage_ok = apply_comparisons(&plan.pre_checks, &mut b, &mut trail)?
                 && apply_comparisons(&plan.post_checks, &mut b, &mut trail)?;
-            let conflict = if stage_ok {
-                fd_first_conflict_goals(&plan.choice_goals, &ns.memos, &plan.rule, &b)?
-            } else {
-                None
-            };
+            // The on-the-fly diffChoice test, in id space. The stage
+            // being tried exceeds every stage this rule has committed,
+            // so it equals no stage cell of any memo entry: DICT_MISS —
+            // unequal to every stored id — stands in for it, and the
+            // test interns and looks up nothing.
+            let conflict =
+                if stage_ok { fd_conflict(plan, &ns.memos, &b, DICT_MISS, &mut key) } else { None };
             if !stage_ok || conflict.is_some() {
                 let reason = if stage_ok {
                     tel.metrics.diffchoice_rejections.inc();
@@ -1050,16 +1170,19 @@ impl GreedyExecutor {
                 if let Some(arena) = &prov {
                     let src_row = dictionary::decode_row(&popped.row);
                     match conflict {
-                        Some((gi, left, attempted, committed)) => arena.record_rejection(
-                            plan.rule_idx,
-                            gi,
-                            "diffchoice",
-                            plan.source_pred,
-                            &src_row,
-                            left,
-                            attempted,
-                            committed,
-                        ),
+                        Some((gi, held)) => {
+                            let (left, attempted, committed) = conflict_values(plan, gi, &b, held)?;
+                            arena.record_rejection(
+                                plan.rule_idx,
+                                gi,
+                                "diffchoice",
+                                plan.source_pred,
+                                &src_row,
+                                left,
+                                attempted,
+                                committed,
+                            )
+                        }
                         None => arena.record_rejection(
                             plan.rule_idx,
                             NO_GOAL,
@@ -1080,7 +1203,7 @@ impl GreedyExecutor {
                     row: dictionary::decode_row(&popped.row).to_string(),
                 });
                 ns.rql.discard(popped);
-                self.stats.discarded += 1;
+                stats.discarded += 1;
                 continue;
             }
             // The committed head in id space: cells bound by the source
@@ -1118,27 +1241,27 @@ impl GreedyExecutor {
                     row: dictionary::decode_row(&popped.row).to_string(),
                 });
                 ns.rql.discard(popped);
-                self.stats.discarded += 1;
+                stats.discarded += 1;
                 continue;
             }
 
             // Commit.
-            let t_commit = t_phase.map(|t| {
-                let now = Instant::now();
-                tel.phases.add("run/gamma/choose", now - t);
-                now
-            });
+            let t_commit = timed.then(Instant::now);
             ns.w_used.insert(w);
-            if let Some(v) = stage_value {
-                head[plan.stage_pos] = dictionary::encode(&v);
+            let stage_value = stage_value.expect("the stage cell is bound by value");
+            let stage_id = dictionary::encode(&stage_value);
+            head[plan.stage_pos] = stage_id;
+            for (gi, (l, r)) in plan.goal_vars.iter().enumerate() {
+                project(l, &b, plan.stage_var, stage_id, &mut key);
+                let held = r.iter().map(|&v| var_id(v, &b, plan.stage_var, stage_id)).collect();
+                ns.memos[gi].insert(std::mem::take(&mut key), held);
             }
+            chosen.push_ids(
+                plan.rule_idx,
+                plan.chosen_vars.iter().map(|&v| var_id(v, &b, plan.stage_var, stage_id)),
+            );
             // Decoded only for the observers that print or record it.
             let head_row = || -> Row { head.iter().map(|&id| decode_ref(id).clone()).collect() };
-            let pairs = eval_goal_pairs(&plan.expanded, &b)?;
-            let chosen_args = eval_choice_vars(&plan.expanded, &b)?;
-            for (gi, (l, r)) in pairs.iter().take(plan.choice_goals.len()).enumerate() {
-                ns.memos[gi].insert(l.clone(), r.clone());
-            }
             tel.trace_with(|| TraceEvent::StageCommit {
                 pred: plan.head_pred.to_string(),
                 stage: next_stage,
@@ -1158,29 +1281,29 @@ impl GreedyExecutor {
                     plan.rule_idx,
                     &[(plan.source_pred, dictionary::decode_row(&popped.row))],
                 );
-                arena.record_commit(plan.rule_idx, plan.head_pred, &head, pairs.clone());
+                let pairs = eval_goal_pairs(&plan.expanded, &b)?;
+                arena.record_commit(plan.rule_idx, plan.head_pred, &head, pairs);
             }
-            ns.rql.commit(popped);
-            ns.stage = next_stage;
-            let rule_idx = ns.plan.rule_idx;
+            let rule_idx = plan.rule_idx;
             tel.trace_with(|| TraceEvent::ChoiceAudit {
                 rule: rule_idx,
-                pred: ns.plan.head_pred.to_string(),
+                pred: plan.head_pred.to_string(),
                 considered: pops,
                 rejected,
             });
-            self.db.relation_mut(ns.plan.head_pred).insert_ids(head);
-            self.chosen.push(ChosenRecord { rule_idx, pairs, chosen_args });
-            self.stats.gamma_steps += 1;
-            tel.metrics.gamma_steps.inc();
-            charge(&tel, t_prev, rule_idx, 1);
-            if let Some(t) = t_commit {
-                tel.phases.add("run/gamma/commit", t.elapsed());
+            let head_rel = db.relation_mut(plan.head_pred);
+            // The commit owns its head row: the stage and W are recorded
+            // above, so when it is the only row the feed has not yet
+            // scanned, the head mark moves past it.
+            if head_rel.insert_ids(head) && head_rel.len() == ns.head_mark + 1 {
+                ns.head_mark += 1;
             }
-            return Ok(true);
-        }
-        if let Some(t) = t_phase {
-            tel.phases.add("run/gamma/choose", t.elapsed());
+            ns.rql.commit(popped);
+            ns.stage = next_stage;
+            stats.gamma_steps += 1;
+            tel.metrics.gamma_steps.inc();
+            charge(tel, t_prev, rule_idx, 1);
+            return Ok(Fire::Committed(t_commit));
         }
         if pops > 0 {
             tel.trace_with(|| TraceEvent::ChoiceAudit {
@@ -1190,8 +1313,72 @@ impl GreedyExecutor {
                 rejected,
             });
         }
-        charge(&tel, t_prev, ns.plan.rule_idx, 0);
-        Ok(false)
+        charge(tel, t_prev, ns.plan.rule_idx, 0);
+        Ok(Fire::Exhausted)
+    }
+}
+
+/// What one next rule's γ attempt did.
+enum Fire {
+    /// No stage to extend yet and nothing queued: not tried.
+    Idle,
+    /// Every queued candidate failed (or none was queued).
+    Exhausted,
+    /// A candidate was committed; the clock read at the commit
+    /// decision, when timed.
+    Committed(Option<Instant>),
+}
+
+/// The run loop's phases, in first-use order: flat saturation and the
+/// exit rules open every round, the γ parent is charged with its feed
+/// child, then choose and commit follow.
+const PHASES: [&str; 6] =
+    ["run/flat", "run/exit", "run/gamma", "run/gamma/feed", "run/gamma/choose", "run/gamma/commit"];
+const FLAT: usize = 0;
+const EXIT: usize = 1;
+const GAMMA: usize = 2;
+const FEED: usize = 3;
+const CHOOSE: usize = 4;
+const COMMIT: usize = 5;
+
+/// The run loop's phase timers and round latencies, kept run-locally
+/// and flushed to the shared [`Telemetry`] once, when the run ends: a
+/// γ step takes no lock and looks up no phase name. Flushing in
+/// [`PHASES`] order reproduces the first-use order of the names.
+#[derive(Default)]
+struct RunTimers {
+    /// `(total, intervals)` per [`PHASES`] entry.
+    phases: [(Duration, u64); PHASES.len()],
+    rounds: Vec<u64>,
+}
+
+impl RunTimers {
+    /// Charge the interval `t0..t` to `phase`, when both ends were read.
+    fn span(&mut self, phase: usize, t0: Option<Instant>, t: Option<Instant>) {
+        self.spans(phase, t0, t, 1);
+    }
+
+    /// Charge `t0..t` to `phase` as `n` intervals.
+    fn spans(&mut self, phase: usize, t0: Option<Instant>, t: Option<Instant>, n: u64) {
+        if let (Some(t0), Some(t), true) = (t0, t, n > 0) {
+            let slot = &mut self.phases[phase];
+            slot.0 += t - t0;
+            slot.1 += n;
+        }
+    }
+
+    /// Record one round's latency.
+    fn round(&mut self, t0: Option<Instant>, t: Option<Instant>) {
+        if let (Some(t0), Some(t)) = (t0, t) {
+            self.rounds.push((t - t0).as_nanos() as u64);
+        }
+    }
+
+    fn flush(&self, tel: &Telemetry) {
+        for (name, &(total, n)) in PHASES.iter().zip(&self.phases) {
+            tel.phases.add_many(name, total, n);
+        }
+        tel.record_rounds_nanos(&self.rounds);
     }
 }
 
@@ -1286,17 +1473,83 @@ fn eval_tuple(rule: &Rule, terms: &[Term], b: &Bindings) -> Result<Vec<Value>, C
         .collect()
 }
 
-/// The first conflicting `(goal, left, attempted, committed)` of the
-/// on-the-fly diffChoice test over explicit goal lists — `None` means
-/// the binding is FD-consistent.
+/// The id of variable `v` in the candidate frame `b`; the stage
+/// variable, bound by value, is `stage_id`. Every other variable of a
+/// next rule's choice goals, head and comparisons is bound by the
+/// source match (see [`build_plan`]), which records its id.
+fn var_id(v: VarId, b: &Bindings, stage_var: VarId, stage_id: u32) -> u32 {
+    if v == stage_var {
+        stage_id
+    } else {
+        debug_assert_ne!(b.id_of(v), DICT_MISS, "choice variable bound without an id");
+        b.id_of(v)
+    }
+}
+
+/// Project `vars` onto their ids in `b` (see [`var_id`]) into `out`.
+fn project(vars: &[VarId], b: &Bindings, stage_var: VarId, stage_id: u32, out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(vars.iter().map(|&v| var_id(v, b, stage_var, stage_id)));
+}
+
+/// The on-the-fly diffChoice test of a next rule over its id-space
+/// memos: the first goal whose memo maps the candidate's `L` ids to an
+/// `R` other than the candidate's, with that committed `R` id row.
+/// `None` means the candidate is FD-consistent. `key` is scratch.
+fn fd_conflict<'m>(
+    plan: &NextPlan,
+    memos: &'m [IdFdMap],
+    b: &Bindings,
+    stage_id: u32,
+    key: &mut Vec<u32>,
+) -> Option<(usize, &'m [u32])> {
+    for (gi, (l, r)) in plan.goal_vars.iter().enumerate() {
+        project(l, b, plan.stage_var, stage_id, key);
+        if let Some(held) = memos[gi].get(key.as_slice()) {
+            if held.iter().zip(r).any(|(&id, &v)| id != var_id(v, b, plan.stage_var, stage_id)) {
+                return Some((gi, held));
+            }
+        }
+    }
+    None
+}
+
+/// The `(left, attempted, committed)` values of a diffChoice conflict
+/// on goal `gi`, for provenance: the candidate's goal tuples evaluated
+/// in its frame, and the committed `R` rebuilt from the memo's ids.
 #[allow(clippy::type_complexity)]
-fn fd_first_conflict_goals(
-    goals: &[(Vec<Term>, Vec<Term>)],
-    memos: &[FdMap],
+fn conflict_values(
+    plan: &NextPlan,
+    gi: usize,
+    b: &Bindings,
+    held: &[u32],
+) -> Result<(Vec<Value>, Vec<Value>, Vec<Value>), CoreError> {
+    let (l, r) = &plan.choice_goals[gi];
+    let mut committed = Bindings::new(plan.rule.num_vars());
+    for (&v, &id) in plan.goal_vars[gi].1.iter().zip(held) {
+        committed.bind_encoded(v, decode_ref(id).clone(), id);
+    }
+    Ok((
+        eval_tuple(&plan.rule, l, b)?,
+        eval_tuple(&plan.rule, r, b)?,
+        eval_tuple(&plan.rule, r, &committed)?,
+    ))
+}
+
+/// The first conflicting `(goal, left, attempted, committed)` of the
+/// on-the-fly diffChoice test over an exit rule's choice literals —
+/// `None` means the binding is FD-consistent.
+#[allow(clippy::type_complexity)]
+fn fd_first_conflict(
     rule: &Rule,
+    memos: &[FdMap],
     b: &Bindings,
 ) -> Result<Option<(usize, Vec<Value>, Vec<Value>, Vec<Value>)>, CoreError> {
-    for (gi, (l, r)) in goals.iter().enumerate() {
+    let goals = rule.body.iter().filter_map(|l| match l {
+        Literal::Choice { left, right } => Some((left, right)),
+        _ => None,
+    });
+    for (gi, (l, r)) in goals.enumerate() {
         let lv = eval_tuple(rule, l, b)?;
         let rv = eval_tuple(rule, r, b)?;
         if let Some(prev) = memos[gi].get(&lv) {
@@ -1306,24 +1559,6 @@ fn fd_first_conflict_goals(
         }
     }
     Ok(None)
-}
-
-/// [`fd_first_conflict_goals`] over a rule's own choice literals.
-#[allow(clippy::type_complexity)]
-fn fd_first_conflict(
-    rule: &Rule,
-    memos: &[FdMap],
-    b: &Bindings,
-) -> Result<Option<(usize, Vec<Value>, Vec<Value>, Vec<Value>)>, CoreError> {
-    let goals: Vec<(Vec<Term>, Vec<Term>)> = rule
-        .body
-        .iter()
-        .filter_map(|l| match l {
-            Literal::Choice { left, right } => Some((left.clone(), right.clone())),
-            _ => None,
-        })
-        .collect();
-    fd_first_conflict_goals(&goals, memos, rule, b)
 }
 
 fn all_pairs_present(rule: &Rule, memos: &[FdMap], b: &Bindings) -> Result<bool, CoreError> {
@@ -1341,7 +1576,7 @@ fn all_pairs_present(rule: &Rule, memos: &[FdMap], b: &Bindings) -> Result<bool,
 }
 
 /// A committed `(left, right)` value pair of one choice goal.
-type GoalPair = (Vec<Value>, Vec<Value>);
+pub type GoalPair = (Vec<Value>, Vec<Value>);
 
 /// Evaluate every choice goal of `rule` to its (L, R) value pair.
 fn eval_goal_pairs(rule: &Rule, b: &Bindings) -> Result<Vec<GoalPair>, CoreError> {

@@ -52,7 +52,7 @@ pub use analysis::{
 };
 pub use diag::{check_program, diagnostics_to_json, CheckReport, DIAG_SCHEMA_VERSION};
 pub use error::CoreError;
-pub use exec::{ChosenRecord, GreedyConfig, GreedyRun, GreedyStats};
+pub use exec::{ChosenLog, ChosenRecord, GreedyConfig, GreedyRun, GreedyStats};
 pub use rewrite::{rewrite_full, FullRewrite};
 pub use verify::verify_stable_model;
 

@@ -11,7 +11,7 @@ use gbc_ast::{Program, Rule};
 use gbc_storage::{Database, Row};
 
 use crate::error::CoreError;
-use crate::exec::{ChosenRecord, GreedyRun};
+use crate::exec::{ChosenLog, GreedyRun};
 use crate::rewrite::rewrite_full;
 
 /// Check that `run` is a stable model of `program ∪ edb`.
@@ -35,14 +35,14 @@ pub fn verify_stable_model(
 
     // M₀ = run database + chosen facts.
     let mut m0 = run.db.clone();
-    for rec in &run.chosen {
+    for rec in run.chosen.records() {
         let ordinal =
             choice_rule_indices.iter().position(|&i| i == rec.rule_idx).ok_or_else(|| {
                 CoreError::NotStageProgram {
                     detail: format!("chosen record for non-choice rule {}", rec.rule_idx),
                 }
             })?;
-        m0.insert(fr.chosen_preds[ordinal], Row::new(rec.chosen_args.clone()));
+        m0.insert(fr.chosen_preds[ordinal], Row::new(rec.chosen_args));
     }
 
     // Complete M with the auxiliary relations (diffchoice, better).
@@ -55,10 +55,7 @@ pub fn verify_stable_model(
 
 /// Convenience: verify a run of the generic engine fixpoint by adapting
 /// its committed-candidate log.
-pub fn records_from_engine(
-    fixpoint: &gbc_engine::ChoiceFixpoint,
-    expanded: &Program,
-) -> Vec<ChosenRecord> {
+pub fn records_from_engine(fixpoint: &gbc_engine::ChoiceFixpoint, expanded: &Program) -> ChosenLog {
     let choice_rule_indices: Vec<usize> = expanded
         .rules
         .iter()
@@ -66,13 +63,9 @@ pub fn records_from_engine(
         .filter(|(_, r)| r.has_choice() && !r.is_fact())
         .map(|(i, _)| i)
         .collect();
-    fixpoint
-        .committed()
-        .iter()
-        .map(|c| ChosenRecord {
-            rule_idx: choice_rule_indices[c.rule],
-            pairs: c.choices.clone(),
-            chosen_args: c.chosen_args.clone(),
-        })
-        .collect()
+    let mut log = ChosenLog::default();
+    for c in fixpoint.committed() {
+        log.push_values(choice_rule_indices[c.rule], c.chosen_args.clone());
+    }
+    log
 }

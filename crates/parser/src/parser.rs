@@ -9,10 +9,19 @@ use gbc_ast::{Diagnostic, LiteralSpans, RuleSpans, Span};
 
 use crate::lexer::{tokenize, LexError, Token, TokenKind};
 
+/// How deep terms and expressions may nest: functor arguments,
+/// parentheses, `max`/`min` arguments and unary minus each add a level.
+/// The parser recurses once per level, so the bound keeps hostile input
+/// from exhausting the stack (mirrors `gbc_telemetry::json`'s limit).
+pub const MAX_NESTING: usize = 128;
+
 /// Parse error with source position (1-based line/column plus the byte
 /// span of the offending token, for snippet rendering).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
+    /// Diagnostic code: `GBC001` (syntax) or `GBC007` (nesting deeper
+    /// than [`MAX_NESTING`]).
+    pub code: &'static str,
     pub message: String,
     pub line: u32,
     pub col: u32,
@@ -20,9 +29,9 @@ pub struct ParseError {
 }
 
 impl ParseError {
-    /// Render as a `GBC001` diagnostic pointing at the offending token.
+    /// Render as a diagnostic pointing at the offending token.
     pub fn to_diagnostic(&self) -> Diagnostic {
-        Diagnostic::error("GBC001", self.message.clone()).with_label(self.span, "here")
+        Diagnostic::error(self.code, self.message.clone()).with_label(self.span, "here")
     }
 }
 
@@ -37,7 +46,7 @@ impl std::error::Error for ParseError {}
 impl From<LexError> for ParseError {
     fn from(e: LexError) -> Self {
         let span = e.span();
-        ParseError { message: e.message, line: e.line, col: e.col, span }
+        ParseError { code: "GBC001", message: e.message, line: e.line, col: e.col, span }
     }
 }
 
@@ -71,11 +80,20 @@ struct Parser {
     var_names: Vec<String>,
     var_map: HashMap<String, VarId>,
     anon: Vec<bool>,
+    /// Current term/expression nesting, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Parser {
-        Parser { tokens, pos: 0, var_names: Vec::new(), var_map: HashMap::new(), anon: Vec::new() }
+        Parser {
+            tokens,
+            pos: 0,
+            var_names: Vec::new(),
+            var_map: HashMap::new(),
+            anon: Vec::new(),
+            depth: 0,
+        }
     }
 
     fn peek(&self) -> &TokenKind {
@@ -111,7 +129,25 @@ impl Parser {
 
     fn err_here(&self, msg: impl Into<String>) -> ParseError {
         let t = &self.tokens[self.pos];
-        ParseError { message: msg.into(), line: t.line, col: t.col, span: t.span() }
+        ParseError { code: "GBC001", message: msg.into(), line: t.line, col: t.col, span: t.span() }
+    }
+
+    /// Enter the nesting level the just-consumed token opens; pair with
+    /// `self.depth -= 1` on the way out. An error abandons the parse, so
+    /// it needs no unwinding.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth <= MAX_NESTING {
+            return Ok(());
+        }
+        let t = &self.tokens[self.pos - 1];
+        Err(ParseError {
+            code: "GBC007",
+            message: format!("term or expression nested deeper than {MAX_NESTING} levels"),
+            line: t.line,
+            col: t.col,
+            span: t.span(),
+        })
     }
 
     fn expect(&mut self, kind: TokenKind) -> Result<(), ParseError> {
@@ -392,6 +428,7 @@ impl Parser {
             TokenKind::Ident(name) if name == "nil" => Ok(Term::Const(gbc_ast::Value::Nil)),
             TokenKind::Ident(name) => {
                 if self.eat(&TokenKind::LParen) {
+                    self.descend()?;
                     let mut args = Vec::new();
                     if !self.eat(&TokenKind::RParen) {
                         loop {
@@ -402,6 +439,7 @@ impl Parser {
                         }
                         self.expect(TokenKind::RParen)?;
                     }
+                    self.depth -= 1;
                     Ok(Term::Func(Symbol::intern(&name), args))
                 } else {
                     Ok(Term::sym(&name))
@@ -463,7 +501,9 @@ impl Parser {
         if matches!(self.peek(), TokenKind::Minus) {
             // `-3` lexes as Minus Int and is folded; `-X` becomes Neg.
             self.bump();
+            self.descend()?;
             let e = self.unary_expr()?;
+            self.depth -= 1;
             if let Expr::Term(Term::Const(gbc_ast::Value::Int(i))) = e {
                 return Ok(Expr::int(-i));
             }
@@ -481,16 +521,20 @@ impl Parser {
                 let op = if name == "max" { ArithOp::Max } else { ArithOp::Min };
                 self.bump();
                 self.expect(TokenKind::LParen)?;
+                self.descend()?;
                 let a = self.expr()?;
                 self.expect(TokenKind::Comma)?;
                 let b = self.expr()?;
                 self.expect(TokenKind::RParen)?;
+                self.depth -= 1;
                 return Ok(Expr::binary(op, a, b));
             }
         }
         if self.eat(&TokenKind::LParen) {
+            self.descend()?;
             let e = self.expr()?;
             self.expect(TokenKind::RParen)?;
+            self.depth -= 1;
             return Ok(e);
         }
         Ok(Expr::Term(self.term()?))
@@ -711,6 +755,38 @@ mod tests {
         let e = parse_rule(src).unwrap_err();
         // Points at EOF (offset 12).
         assert_eq!(e.span.start, 12);
+    }
+
+    fn nested(depth: usize) -> String {
+        format!("p({}0{}).", "f(".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let p = parse_program(&nested(MAX_NESTING)).unwrap();
+        assert_eq!(p.rules.len(), 1);
+        let expr =
+            format!("p(X) <- q(X), X = {}1{}.", "(".repeat(MAX_NESTING), ")".repeat(MAX_NESTING));
+        assert!(parse_program(&expr).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_gbc007() {
+        for src in [
+            nested(MAX_NESTING + 1),
+            nested(200_000),
+            format!("p(X) <- q(X), X = {}1{}.", "(".repeat(200_000), ")".repeat(200_000)),
+            format!("p(X) <- q(X), X = {}1.", "-".repeat(200_000)),
+            format!("p(X) <- q(X), X = {}1{}.", "max(0, ".repeat(200_000), ")".repeat(200_000)),
+        ] {
+            let e = parse_program(&src).unwrap_err();
+            assert_eq!(e.code, "GBC007", "{}", e.message);
+            assert!(e.message.contains("nested deeper than 128 levels"), "{}", e.message);
+            assert_eq!(e.to_diagnostic().code, "GBC007");
+        }
+        // The offending token is the one that opens level 129.
+        let e = parse_program(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(e.span.start as usize, 2 + 2 * MAX_NESTING + 1);
     }
 
     #[test]

@@ -39,8 +39,8 @@ impl Index {
 
     /// Add an encoded row with its arena position (called by the
     /// owning relation on insert).
-    pub fn insert_row(&mut self, row: &[u32], id: u32) {
-        let key = self.key_cols.iter().map(|&c| row[c]).collect();
+    pub fn insert_row(&mut self, cell: impl Fn(usize) -> u32, id: u32) {
+        let key = self.key_cols.iter().map(|&c| cell(c)).collect();
         self.map.entry(key).or_default().push(id);
     }
 
@@ -98,8 +98,9 @@ mod tests {
     fn incremental_insert_extends_the_index() {
         let mut idx = Index::build(vec![0], ColumnBuf::new().view());
         assert_eq!(idx.num_keys(), 0);
-        idx.insert_row(&[id(5), id(1)], 0);
-        idx.insert_row(&[id(5), id(2)], 1);
+        let (a, b) = ([id(5), id(1)], [id(5), id(2)]);
+        idx.insert_row(|c| a[c], 0);
+        idx.insert_row(|c| b[c], 1);
         assert_eq!(idx.get(&[id(5)]), &[0, 1]);
         assert_eq!(idx.num_keys(), 1);
     }

@@ -275,18 +275,23 @@ impl Relation {
                 assert_eq!(a, ids.len(), "relation rows must share an arity");
             }
         }
-        if self.set.contains(ids.as_slice()) {
-            return false;
-        }
-        let id = self.n_rows as u32;
-        for (_, idx) in self.indices.get_mut().expect("index cache lock").iter_mut() {
-            idx.insert_row(&ids, id);
-        }
+        // One hash probe: the cells go to the arenas first, so the set
+        // can take the row by value, and come back off on a duplicate.
         for (col, &cell) in self.cols.iter_mut().zip(&ids) {
             col.push(cell);
         }
+        if !self.set.insert(ids) {
+            for col in &mut self.cols {
+                col.pop();
+            }
+            return false;
+        }
+        let pos = self.n_rows;
+        let cols = &self.cols;
+        for (_, idx) in self.indices.get_mut().expect("index cache lock").iter_mut() {
+            idx.insert_row(|c| cols[c][pos], pos as u32);
+        }
         self.n_rows += 1;
-        self.set.insert(ids);
         true
     }
 
@@ -475,6 +480,37 @@ mod tests {
         assert!(r.insert(row(&[1, 2])));
         assert!(!r.insert(row(&[1, 2])));
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn duplicate_insert_ids_changes_nothing() {
+        let mut r = Relation::new();
+        assert!(r.insert_ids(vec![id(1), id(2)]));
+        assert!(r.insert_ids(vec![id(1), id(3)]));
+        // Cache an index on column 0 before the duplicate arrives.
+        let mut hits = Vec::new();
+        r.select_ids_into(&[0], &[id(1)], &mut hits);
+        assert_eq!(hits, vec![0, 1]);
+        let before = r.clone();
+        assert!(!r.insert_ids(vec![id(1), id(2)]));
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.cols, before.cols);
+        let cached = |rel: &Relation| -> Vec<(u64, Vec<usize>, usize, Vec<u32>)> {
+            let cache = rel.indices.read().expect("index cache lock");
+            cache
+                .iter()
+                .map(|(m, idx)| {
+                    (*m, idx.key_cols().to_vec(), idx.num_keys(), idx.get(&[id(1)]).to_vec())
+                })
+                .collect()
+        };
+        assert_eq!(cached(&r), cached(&before));
+        assert_eq!(cached(&r).len(), 1);
+        // A new row still lands in the arenas and the cached index.
+        assert!(r.insert_ids(vec![id(1), id(4)]));
+        r.select_ids_into(&[0], &[id(1)], &mut hits);
+        assert_eq!(hits, vec![0, 1, 2]);
+        assert_eq!(r.since(2).id_row(0), vec![id(1), id(4)]);
     }
 
     #[test]

@@ -306,12 +306,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar from the source.
+                    // Copy the run up to the next quote or backslash
+                    // whole. Both are ASCII, so the run ends on a
+                    // scalar boundary of the (UTF-8) source, and each
+                    // byte is read once: the string is linear in its
+                    // length.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?);
+                    self.pos += len;
                 }
             }
         }
@@ -529,6 +533,14 @@ mod tests {
         // Raw multi-byte UTF-8 passes through unescaped.
         assert_eq!(Json::parse("\"𝄞\"").unwrap(), Json::Str("\u{1D11E}".into()));
         assert_eq!(Json::parse("\"héllo\"").unwrap(), Json::Str("héllo".into()));
+    }
+
+    #[test]
+    fn parse_copies_long_multibyte_strings_whole() {
+        let text = "ab\u{e9}\u{1F600}\"q\\".repeat(50_000);
+        let doc = Json::Str(text.clone()).to_string();
+        assert_eq!(Json::parse(&doc).unwrap(), Json::Str(text));
+        assert!(Json::parse("\"\u{e9}\u{e9}").is_err(), "unterminated");
     }
 
     #[test]

@@ -123,10 +123,14 @@ impl Telemetry {
         self
     }
 
-    /// Record one γ-round duration, if round-latency tracking is on.
-    pub fn record_round_nanos(&self, nanos: u64) {
+    /// Record γ-round durations, if round-latency tracking is on — one
+    /// lock for the whole batch (the executor flushes once per run).
+    pub fn record_rounds_nanos(&self, nanos: &[u64]) {
         if let Some(cell) = &self.rounds {
-            cell.lock().unwrap().record(nanos);
+            let mut hist = cell.lock().unwrap();
+            for &n in nanos {
+                hist.record(n);
+            }
         }
     }
 

@@ -57,16 +57,23 @@ impl Phases {
 
     /// Charge `dur` to `name` directly.
     pub fn add(&self, name: &str, dur: Duration) {
-        if !self.enabled {
+        self.add_many(name, dur, 1);
+    }
+
+    /// Charge `total` to `name` as `count` intervals at once — the
+    /// flush of a caller that accumulated them locally. `count == 0`
+    /// records nothing (the name stays unused).
+    pub fn add_many(&self, name: &str, total: Duration, count: u64) {
+        if !self.enabled || count == 0 {
             return;
         }
         let mut accs = self.accs.lock().expect("phase lock");
         match accs.iter_mut().find(|a| a.name == name) {
             Some(a) => {
-                a.total += dur;
-                a.count += 1;
+                a.total += total;
+                a.count += count;
             }
-            None => accs.push(Acc { name: name.to_owned(), total: dur, count: 1 }),
+            None => accs.push(Acc { name: name.to_owned(), total, count }),
         }
     }
 
@@ -146,6 +153,20 @@ mod tests {
         assert_eq!(e[0].0, "run");
         assert_eq!(e[0].2, 2);
         assert!((e[0].1 - 0.015).abs() < 1e-9);
+    }
+
+    #[test]
+    fn add_many_matches_repeated_adds() {
+        let one = Phases::enabled();
+        let many = Phases::enabled();
+        for ms in [3, 4] {
+            one.add("run/flat", Duration::from_millis(ms));
+        }
+        one.add("run/exit", Duration::from_millis(1));
+        many.add_many("run/flat", Duration::from_millis(7), 2);
+        many.add_many("run/gamma", Duration::from_millis(9), 0);
+        many.add_many("run/exit", Duration::from_millis(1), 1);
+        assert_eq!(one.entries(), many.entries());
     }
 
     #[test]

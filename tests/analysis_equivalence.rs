@@ -12,6 +12,7 @@
 //! sides before the snapshot comparison and asserted positive/zero
 //! where analysis pins them.
 
+use gbc_core::exec::GoalPair;
 use gbc_core::{ChosenRecord, GreedyConfig};
 use gbc_storage::Database;
 use gbc_telemetry::{Snapshot, Telemetry};
@@ -37,7 +38,9 @@ const PROGRAMS: [&[&str]; 10] = [
 #[derive(Debug, PartialEq)]
 struct RunFingerprint {
     canonical: String,
-    chosen: Vec<ChosenRecord>,
+    /// The decoded chosen log, each record with the (L, R) pairs its
+    /// expanded rule's choice goals derive from it.
+    chosen: Vec<(ChosenRecord, Vec<GoalPair>)>,
     snapshot: Snapshot,
 }
 
@@ -70,7 +73,7 @@ fn run_group(files: &[&str], threads: usize, analyze: bool) -> (RunFingerprint, 
     let (db, chosen) = if compiled.has_greedy_plan() {
         let config = GreedyConfig { threads, analyze, ..GreedyConfig::default() };
         let run = compiled.run_greedy_telemetry(&edb, config, &tel).expect("greedy run");
-        (run.db, run.chosen)
+        (run.db, run.chosen.records())
     } else {
         // The generic fixpoint has no analysis-gated specializations;
         // it anchors the sweep so every shipped program is covered.
@@ -79,7 +82,7 @@ fn run_group(files: &[&str], threads: usize, analyze: bool) -> (RunFingerprint, 
         fixpoint.set_telemetry(tel.clone());
         fixpoint.run(&mut gbc_engine::DeterministicFirst).expect("fixpoint run");
         let chosen = gbc_core::verify::records_from_engine(&fixpoint, compiled.expanded());
-        (fixpoint.into_database(), chosen)
+        (fixpoint.into_database(), chosen.records())
     };
     let mut snapshot = tel.snapshot();
     let raw = PathCounters {
@@ -88,6 +91,13 @@ fn run_group(files: &[&str], threads: usize, analyze: bool) -> (RunFingerprint, 
     };
     snapshot.heap_int_fast_compares = 0;
     snapshot.heap_batch_pushes = 0;
+    let chosen = chosen
+        .into_iter()
+        .map(|rec| {
+            let pairs = rec.pairs(&compiled.expanded().rules[rec.rule_idx]).expect("pairs");
+            (rec, pairs)
+        })
+        .collect();
     (RunFingerprint { canonical: db.canonical_form(), chosen, snapshot }, raw)
 }
 

@@ -110,10 +110,12 @@ fn chosen_records_cover_every_gamma_step() {
     let (compiled, edb) = prim::prepared(&g, 0);
     let run = compiled.run_greedy(&edb).unwrap();
     assert_eq!(run.chosen.len() as u64, run.stats.gamma_steps);
-    for rec in &run.chosen {
+    for rec in run.chosen.records() {
         // Prim's expanded rule has 3 choice goals: the original
-        // choice(Y, X) plus the two stage FDs from the next expansion.
-        assert_eq!(rec.pairs.len(), 3);
+        // choice(Y, X) plus the two stage FDs from the next expansion,
+        // each derived from the chosen arguments on read.
+        let pairs = rec.pairs(&compiled.expanded().rules[rec.rule_idx]).unwrap();
+        assert_eq!(pairs.len(), 3);
         assert!(!rec.chosen_args.is_empty());
     }
 }

@@ -214,6 +214,22 @@ fn error_paths_are_structured_not_fatal() {
 }
 
 #[test]
+fn load_rejects_deep_nesting_and_keeps_serving() {
+    // A ~600 KB body (under the 1 MiB cap) nesting one term 200 000
+    // levels deep: a structured 400, and the server stays up.
+    let (addr, handle) = start_server();
+    let depth = 200_000;
+    let program = format!("p({}0{}).", "f(".repeat(depth), ")".repeat(depth));
+    let body = Json::obj(vec![("name", Json::Str("deep".into())), ("program", Json::Str(program))]);
+    let (status, reply) = client::post_json(&addr, "/load", &body.to_string()).unwrap();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("GBC007"), "{reply}");
+    let (status, _) = client::get(&addr, "/healthz").unwrap();
+    assert_eq!(status, 200);
+    handle.shutdown();
+}
+
+#[test]
 fn load_rejects_bad_programs_with_rendered_diagnostics() {
     let (addr, handle) = start_server();
     let (status, body) =
